@@ -9,10 +9,12 @@ Reference 2 is applied to ensure a narrow bandwidth."
 Measured: node bandwidth before/after renumbering for every library
 structure, plus the band-Cholesky factor time of the real assembled
 stiffness under both numberings (the solver cost is O(n b^2), so the
-speedup tracks the squared bandwidth ratio).
+speedup tracks the squared bandwidth ratio).  Only the factor is timed:
+assembly happens once, outside the clock, and each time is the minimum
+of many repeats so a sub-millisecond LAPACK factor still resolves.
 """
 
-import numpy as np
+import time
 
 from common import report
 
@@ -20,12 +22,24 @@ from repro.fem.assembly import assemble_banded
 from repro.fem.bandwidth import mesh_bandwidth
 from repro.structures import STRUCTURES
 
+#: Factor repeats per numbering; the minimum is reported.
+REPEATS = 50
 
-def factor(mesh, materials, analysis_type):
+
+def shifted_stiffness(mesh, materials, analysis_type):
+    """The assembled band, diagonal-shifted so the free structure factors."""
     matrix = assemble_banded(mesh, materials, analysis_type)
-    shift = 1e-3 * max(matrix.band[0].max(), 1.0)
-    matrix.band[0] += shift
-    return matrix.cholesky()
+    matrix.band[0] += 1e-3 * max(matrix.band[0].max(), 1.0)
+    return matrix
+
+
+def factor_seconds(matrix):
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        matrix.cholesky()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def test_claim_bandwidth_reduction(benchmark):
@@ -44,23 +58,18 @@ def test_claim_bandwidth_reduction(benchmark):
 
     case, bw_raw, bw_rcm, raw, rcm = best
     kind = case.analysis_type.value
-    benchmark(factor, rcm.mesh, rcm.group_materials, kind)
+    k_raw = shifted_stiffness(raw.mesh, raw.group_materials, kind)
+    k_rcm = shifted_stiffness(rcm.mesh, rcm.group_materials, kind)
+    benchmark(k_rcm.cholesky)
 
-    import time
-
-    def timed(built):
-        start = time.perf_counter()
-        factor(built.mesh, built.group_materials, kind)
-        return time.perf_counter() - start
-
-    t_raw = min(timed(raw) for _ in range(3))
-    t_rcm = min(timed(rcm) for _ in range(3))
+    t_raw = factor_seconds(k_raw)
+    t_rcm = factor_seconds(k_rcm)
     report("C2 bandwidth reduction", {
         "paper claim": "renumbering ensures a narrow bandwidth",
         "node bandwidth per structure": rows,
         "biggest win": f"{case.name}: {bw_raw} -> {bw_rcm}",
         "band factor time raw -> rcm":
-            f"{1e3 * t_raw:.2f} ms -> {1e3 * t_rcm:.2f} ms "
+            f"{1e3 * t_raw:.3f} ms -> {1e3 * t_rcm:.3f} ms "
             f"({t_raw / t_rcm:.2f}x)",
     })
     assert t_rcm <= t_raw * 1.05

@@ -44,19 +44,16 @@ import numpy as np
 from repro import obs
 from repro.analyze.deck import AnalyzeSpec, LoadCardSpec, STRESS_PLOTS
 from repro.core.ospl.plot import ContourPlot, conplt
-from repro.errors import AnalyzeError, SolverError
-from repro.fem.assembly import assemble_banded, assemble_sparse
+from repro.errors import AnalyzeError
 from repro.fem.bc import Constraints
 from repro.fem.dynamics import mass_density, modal_analysis
 from repro.fem.loads import LoadCase, edges_on_predicate
 from repro.fem.materials import IsotropicElastic, ThermalMaterial
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
-from repro.fem.skyline import assemble_skyline
-from repro.fem.solve import _relative_residual, _solve_sparse
+from repro.fem.solve import assemble_static, solve_static
 from repro.fem.stress import StressComponent, recover_stresses
 from repro.fem.thermal import ThermalAnalysis
-from repro.obs.health import solver_health
 from repro.pipeline.cache import stable_digest
 from repro.pipeline.context import Context
 from repro.pipeline.idlz import (
@@ -220,12 +217,8 @@ def assemble_stage(ctx: Context) -> Dict[str, Any]:
     elif spec.analysis == "modal":
         system = {"kind": "modal"}
     else:
-        if spec.solver == "banded":
-            matrix = assemble_banded(mesh, materials, spec.analysis)
-        elif spec.solver == "skyline":
-            matrix = assemble_skyline(mesh, materials, spec.analysis)
-        else:
-            matrix = assemble_sparse(mesh, materials, spec.analysis)
+        matrix = assemble_static(mesh, materials, spec.analysis,
+                                 spec.solver)
         system = {"kind": "static", "matrix": matrix}
     obs.gauge("analyze.ndof", 2 * mesh.n_nodes)
     return {"system": system}
@@ -339,11 +332,8 @@ def _apply_pressure(load_case: LoadCase, mesh: Mesh, spec: AnalyzeSpec,
 def solve_stage(ctx: Context) -> Dict[str, Any]:
     """Apply the resolved conditions and solve the system.
 
-    The static path mirrors :meth:`repro.fem.solve.StaticAnalysis.solve`
-    stage-by-stage (same spans, same solver-health snapshots) but works
-    on the *already assembled* matrix so assembly stays cacheable on its
-    own.  Mutating that matrix in place is safe: the cache pickled the
-    assemble outputs before this stage ran.
+    Static analyses go through :func:`repro.fem.solve.solve_static`, the
+    same driver :class:`~repro.fem.solve.StaticAnalysis` uses.
     """
     spec: AnalyzeSpec = ctx["spec"]
     mesh: Mesh = ctx["mesh"]
@@ -365,27 +355,8 @@ def solve_stage(ctx: Context) -> Dict[str, Any]:
                 analysis_type="plane_stress", n_modes=spec.modes,
             )
         return {"solution": {"kind": "modal", "modal": modal}}
-    if len(constraints) == 0:
-        raise SolverError(
-            "the model has no displacement constraints; the stiffness "
-            "matrix is singular (rigid-body motion)"
-        )
     rhs = ctx["load_case"].vector(mesh.n_nodes, dofs_per_node=2)
-    if spec.solver in ("banded", "skyline"):
-        k = system["matrix"]
-        with obs.span(f"fem.solve.{spec.solver}", ndof=k.n):
-            for dof, value in constraints.global_dofs(mesh.n_nodes):
-                k.constrain_dof(dof, rhs, value)
-            disp = k.solve(rhs)
-        if obs.health_enabled():
-            obs.health(f"fem.solve.{spec.solver}", solver_health(
-                residual_rel=_relative_residual(k.matvec(disp), rhs),
-                ndof=k.n,
-            ))
-    else:
-        k = system["matrix"]
-        with obs.span("fem.solve.sparse", ndof=k.shape[0]):
-            disp = _solve_sparse(k, rhs, constraints, mesh.n_nodes)
+    disp = solve_static(system["matrix"], rhs, constraints, mesh.n_nodes)
     return {"solution": {"kind": "static", "displacements": disp}}
 
 

@@ -8,16 +8,16 @@ quartered the solve cost.  This module reproduces that solver so the
 renumbering benchmark (claim C2 in DESIGN.md) measures the same quantity
 the paper cared about.
 
-Storage: ``band[d, j] = A[j + d, j]`` for ``0 <= d <= hb`` (lower band by
-columns, LAPACK-style).  Entries outside the matrix are kept at zero.
+Storage: ``band[d, j] = A[j + d, j]`` for ``0 <= d <= hb`` -- LAPACK's
+lower band storage, so the factor and substitution are LAPACK's band
+Cholesky (``dpbtrf`` / ``dpbtrs``) on the very array assembly fills.
+Entries outside the matrix are kept at zero.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from repro import obs
 from repro.errors import SolverError
@@ -27,7 +27,7 @@ from repro.obs.health import solver_health
 class BandedSymmetricMatrix:
     """A symmetric matrix stored by its lower band."""
 
-    def __init__(self, n: int, half_bandwidth: int):
+    def __init__(self, n: int, half_bandwidth: int) -> None:
         if n <= 0:
             raise SolverError(f"matrix order must be positive, got {n}")
         if half_bandwidth < 0:
@@ -50,16 +50,6 @@ class BandedSymmetricMatrix:
                 f"bandwidth {self.hb}"
             )
         self.band[d, j] += value
-
-    def add_block(self, dofs: np.ndarray, block: np.ndarray) -> None:
-        """Accumulate a dense element block at global ``dofs``."""
-        m = len(dofs)
-        for a in range(m):
-            ia = int(dofs[a])
-            for b in range(m):
-                ib = int(dofs[b])
-                if ia >= ib:
-                    self.band[ia - ib, ib] += block[a, b]
 
     def get(self, i: int, j: int) -> float:
         if i < j:
@@ -110,6 +100,20 @@ class BandedSymmetricMatrix:
             m.band[: top - j, j] = a[j:top, j]
         return m
 
+    @classmethod
+    def from_triplets(cls, n: int, half_bandwidth: int, rows: np.ndarray,
+                      cols: np.ndarray, vals: np.ndarray
+                      ) -> "BandedSymmetricMatrix":
+        """Sum ``vals`` at (``rows``, ``cols``), keeping the lower band.
+
+        Duplicate entries accumulate in triplet order.
+        """
+        m = cls(n, half_bandwidth)
+        lower = rows >= cols
+        np.add.at(m.band, (rows[lower] - cols[lower], cols[lower]),
+                  vals[lower])
+        return m
+
     # ------------------------------------------------------------------
     # Modification for boundary conditions
     # ------------------------------------------------------------------
@@ -142,36 +146,23 @@ class BandedSymmetricMatrix:
     # Factorisation and solution
     # ------------------------------------------------------------------
     def cholesky(self) -> "BandedCholeskyFactor":
-        """Band Cholesky A = L L^T; O(n * hb^2).
+        """Band Cholesky A = L L^T by LAPACK ``dpbtrf``; O(n * hb^2).
 
+        ``band`` is already LAPACK's lower band storage, so the factor
+        works on it as stored (on a copy; the matrix is left intact).
         Raises :class:`SolverError` on a non-positive pivot, which for a
         stiffness matrix means the structure is insufficiently restrained
         (a rigid-body mode) or the mesh is defective.
         """
         n, hb = self.n, self.hb
-        lband = self.band.copy()
-        for j in range(n):
-            kmin = max(0, j - hb)
-            for k in range(kmin, j):
-                d = j - k
-                ljk = lband[d, k]
-                if ljk == 0.0:
-                    continue
-                imax = min(n - 1, k + hb)
-                length = imax - j + 1
-                if length > 0:
-                    lband[0:length, j] -= ljk * lband[d:d + length, k]
-            diag = lband[0, j]
-            if diag <= 0.0:
-                raise SolverError(
-                    f"non-positive pivot {diag:g} at equation {j}; the "
-                    "system is singular or indefinite (is the structure "
-                    "restrained against rigid-body motion?)"
-                )
-            root = math.sqrt(diag)
-            lband[0, j] = root
-            top = min(hb + 1, n - j)
-            lband[1:top, j] /= root
+        lband, info = dpbtrf(self.band, lower=1)
+        if info > 0:
+            # dpbtrf leaves the failed pivot on the diagonal it stopped at.
+            raise SolverError(
+                f"non-positive pivot {lband[0, info - 1]:g} at equation "
+                f"{info - 1}; the system is singular or indefinite (is the "
+                "structure restrained against rigid-body motion?)"
+            )
         if obs.health_enabled():
             # lband[0] holds sqrt(pivot); square back for the D entries.
             pivots = lband[0] * lband[0]
@@ -192,35 +183,15 @@ class BandedSymmetricMatrix:
 class BandedCholeskyFactor:
     """The lower-triangular band factor L with A = L L^T."""
 
-    def __init__(self, n: int, hb: int, lband: np.ndarray):
+    def __init__(self, n: int, hb: int, lband: np.ndarray) -> None:
         self.n = n
         self.hb = hb
         self.lband = lband
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs by forward/back substitution in the band."""
-        n, hb, lband = self.n, self.hb, self.lband
-        b = np.asarray(rhs, dtype=float).copy()
-        if b.shape[0] != n:
-            raise SolverError(f"rhs length {b.shape[0]} != order {n}")
-        # Forward: L y = b.
-        for j in range(n):
-            b[j] /= lband[0, j]
-            top = min(hb, n - 1 - j)
-            if top > 0:
-                b[j + 1:j + top + 1] -= b[j] * lband[1:top + 1, j]
-        # Back: L^T x = y.  Row i of L^T is column i of L.
-        for j in range(n - 1, -1, -1):
-            top = min(hb, n - 1 - j)
-            if top > 0:
-                b[j] -= float(np.dot(lband[1:top + 1, j], b[j + 1:j + top + 1]))
-            b[j] /= lband[0, j]
-        return b
-
-
-def matrix_half_bandwidth(dof_pairs) -> int:
-    """Half bandwidth implied by an iterable of coupled dof pairs."""
-    hb = 0
-    for i, j in dof_pairs:
-        hb = max(hb, abs(int(i) - int(j)))
-    return hb
+        """Solve A x = rhs by band substitution (LAPACK ``dpbtrs``)."""
+        b = np.asarray(rhs, dtype=float)
+        if b.shape[0] != self.n:
+            raise SolverError(f"rhs length {b.shape[0]} != order {self.n}")
+        x: np.ndarray = dpbtrs(self.lband, b, lower=1)[0]
+        return x

@@ -17,13 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Mapping, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from repro.errors import MeshError, SolverError
-from repro.fem.assembly import _element_dofs, assemble_sparse
+from repro.fem.assembly import (
+    _material_for,
+    assemble_sparse,
+    element_blocks,
+    scatter,
+)
 from repro.fem.bc import Constraints
 from repro.fem.elements.cst import _geometry
 from repro.fem.mesh import Mesh
@@ -62,23 +67,28 @@ def cst_mass_matrix(xy: np.ndarray, density: float,
     return (total / 12.0) * m
 
 
-def assemble_mass(mesh: Mesh, materials: Dict[int, object],
-                  densities: Dict[int, float],
+def assemble_mass(mesh: Mesh, materials: Mapping[int, Any],
+                  densities: Mapping[int, float],
                   lumped: bool = False) -> np.ndarray:
     """Dense global mass matrix (modal problems here are small)."""
+    # Pair each group's material with its density, so both lookups
+    # raise the same typed error for a group that lacks one.
+    per_group = {
+        group: (_material_for(materials, group),
+                _material_for(densities, group, "density"))
+        for group in map(int, np.unique(mesh.element_groups))
+    }
+
+    def block(xy: np.ndarray, pair: Tuple[Any, float]) -> np.ndarray:
+        material, density = pair
+        return cst_mass_matrix(xy, density, lumped=lumped,
+                               thickness=getattr(material, "thickness", 1.0))
+
+    rows, cols, vals = scatter(mesh.elements,
+                               element_blocks(mesh, per_group, block))
     ndof = 2 * mesh.n_nodes
     m = np.zeros((ndof, ndof))
-    for e in range(mesh.n_elements):
-        group = int(mesh.element_groups[e])
-        material = materials[group]
-        thickness = getattr(material, "thickness", 1.0)
-        me = cst_mass_matrix(mesh.nodes[mesh.elements[e]],
-                             densities[group], thickness=thickness,
-                             lumped=lumped)
-        dofs = _element_dofs(mesh.elements[e], 2)
-        for a in range(6):
-            for b in range(6):
-                m[dofs[a], dofs[b]] += me[a, b]
+    np.add.at(m, (rows, cols), vals)
     return m
 
 
@@ -102,8 +112,8 @@ class ModalResult:
                           f"({self.frequencies_hz[i]:.1f} Hz)", mag)
 
 
-def modal_analysis(mesh: Mesh, materials: Dict[int, object],
-                   densities: Dict[int, float],
+def modal_analysis(mesh: Mesh, materials: Mapping[int, Any],
+                   densities: Mapping[int, float],
                    constraints: Constraints,
                    analysis_type: str = "plane_stress",
                    n_modes: int = 6,

@@ -17,19 +17,21 @@ envelope (the envelope is closed under Cholesky, so no fill outside it).
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Any, List, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.errors import SolverError
+from repro.fem.assembly import stiffness_triplets
+from repro.fem.mesh import Mesh
 from repro.obs.health import solver_health
 
 
 class SkylineMatrix:
     """A symmetric matrix stored by its column envelope."""
 
-    def __init__(self, n: int, tops: Sequence[int]):
+    def __init__(self, n: int, tops: Sequence[int]) -> None:
         if n <= 0:
             raise SolverError(f"matrix order must be positive, got {n}")
         if len(tops) != n:
@@ -50,17 +52,6 @@ class SkylineMatrix:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_dof_pairs(cls, n: int, pairs) -> "SkylineMatrix":
-        """Envelope implied by an iterable of coupled dof pairs."""
-        tops = list(range(n))
-        for i, j in pairs:
-            lo, hi = (int(i), int(j)) if i < j else (int(j), int(i))
-            if hi >= n or lo < 0:
-                raise SolverError(f"dof pair ({i}, {j}) outside order {n}")
-            tops[hi] = min(tops[hi], lo)
-        return cls(n, tops)
-
-    @classmethod
     def from_dense(cls, a: np.ndarray) -> "SkylineMatrix":
         a = np.asarray(a, dtype=float)
         n = a.shape[0]
@@ -77,6 +68,25 @@ class SkylineMatrix:
             m.columns[j][:] = a[m.tops[j]: j + 1, j]
         return m
 
+    @classmethod
+    def from_triplets(cls, n: int, rows: np.ndarray, cols: np.ndarray,
+                      vals: np.ndarray) -> "SkylineMatrix":
+        """Sum ``vals`` at (``rows``, ``cols``) inside the envelope they span.
+
+        Each column's top is the smallest row coupled to it; duplicate
+        entries accumulate in triplet order.
+        """
+        upper = rows <= cols
+        rows, cols, vals = rows[upper], cols[upper], vals[upper]
+        tops = np.arange(n)
+        np.minimum.at(tops, cols, rows)
+        starts = np.concatenate(([0], np.cumsum(np.arange(n) - tops + 1)))
+        flat = np.zeros(int(starts[-1]))
+        np.add.at(flat, starts[cols] + rows - tops[cols], vals)
+        m = cls(n, tops.tolist())
+        m.columns = np.split(flat, starts[1:-1])
+        return m
+
     # ------------------------------------------------------------------
     # Element access
     # ------------------------------------------------------------------
@@ -89,14 +99,6 @@ class SkylineMatrix:
                 f"top {self.tops[j]}"
             )
         self.columns[j][i - self.tops[j]] += value
-
-    def add_block(self, dofs: np.ndarray, block: np.ndarray) -> None:
-        m = len(dofs)
-        for a in range(m):
-            for b in range(m):
-                if int(dofs[a]) <= int(dofs[b]):
-                    self.add(int(dofs[a]), int(dofs[b]), block[a, b])
-        # Lower entries are the transposes; only store upper triangle.
 
     def get(self, i: int, j: int) -> float:
         if i > j:
@@ -206,7 +208,8 @@ class SkylineMatrix:
 class SkylineCholeskyFactor:
     """Envelope factor: columns hold L^T's columns (U) with diagonals."""
 
-    def __init__(self, n: int, tops: List[int], cols: List[np.ndarray]):
+    def __init__(self, n: int, tops: List[int],
+                 cols: List[np.ndarray]) -> None:
         self.n = n
         self.tops = tops
         self.cols = cols
@@ -231,25 +234,13 @@ class SkylineCholeskyFactor:
         return y
 
 
-def assemble_skyline(mesh, materials, analysis_type: str) -> SkylineMatrix:
+def assemble_skyline(mesh: Mesh, materials: Mapping[int, Any],
+                     analysis_type: str) -> SkylineMatrix:
     """Assemble a global stiffness in skyline storage."""
-    from repro.fem.assembly import _element_dofs, element_stiffness
-
     with obs.span("fem.assemble.skyline", elements=mesh.n_elements):
-        dofs_per_node = 2
-        ndof = mesh.n_nodes * dofs_per_node
-        pairs = []
-        for tri in mesh.elements:
-            dofs = _element_dofs(tri, dofs_per_node)
-            for a in dofs:
-                for b in dofs:
-                    if a < b:
-                        pairs.append((int(a), int(b)))
-        matrix = SkylineMatrix.from_dof_pairs(ndof, pairs)
-        for e in range(mesh.n_elements):
-            ke = element_stiffness(mesh, e, materials, analysis_type)
-            dofs = _element_dofs(mesh.elements[e], dofs_per_node)
-            matrix.add_block(dofs, ke)
+        ndof = 2 * mesh.n_nodes
+        matrix = SkylineMatrix.from_triplets(
+            ndof, *stiffness_triplets(mesh, materials, analysis_type))
     obs.gauge("fem.ndof", ndof)
     obs.gauge("fem.solver_fillin", matrix.profile() + ndof)
     return matrix

@@ -9,16 +9,19 @@ materials per element group, constrain, load, solve, recover stresses.
     result = analysis.solve()
     field = result.stresses.nodal(StressComponent.EFFECTIVE)
 
-Two solvers are available: the era-authentic banded Cholesky (default,
-sensitive to the node numbering exactly as the paper describes) and a
-scipy sparse factorisation used for ablation and cross-checking.
+Three solvers are available: the era-authentic banded Cholesky (default,
+sensitive to the node numbering exactly as the paper describes), the
+envelope (skyline) Cholesky, and a scipy sparse factorisation used for
+ablation and cross-checking.  :func:`assemble_static` and
+:func:`solve_static` are the one static path: :class:`StaticAnalysis`
+and the analyze pipeline's assemble / solve stages both call them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import Any, Mapping, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,11 +30,17 @@ import scipy.sparse.linalg as spla
 from repro import obs
 from repro.errors import SolverError
 from repro.fem.assembly import assemble_banded, assemble_sparse
+from repro.fem.banded import BandedSymmetricMatrix
 from repro.fem.bc import Constraints
 from repro.fem.loads import LoadCase
 from repro.fem.mesh import Mesh
+from repro.fem.skyline import SkylineMatrix, assemble_skyline
 from repro.fem.stress import StressField, recover_stresses
 from repro.obs.health import solver_health
+
+
+#: Global stiffness in one of the three solver storages.
+StaticMatrix = Union[BandedSymmetricMatrix, SkylineMatrix, sp.csr_matrix]
 
 
 class AnalysisType(Enum):
@@ -50,7 +59,7 @@ class StaticResult:
     displacements: np.ndarray
     stresses: StressField
 
-    def displacement_of(self, node: int) -> tuple:
+    def displacement_of(self, node: int) -> Tuple[float, float]:
         return (
             float(self.displacements[2 * node]),
             float(self.displacements[2 * node + 1]),
@@ -65,8 +74,9 @@ class StaticResult:
 class StaticAnalysis:
     """Linear static analysis on a triangular mesh."""
 
-    def __init__(self, mesh: Mesh, materials: Dict[int, object],
-                 analysis_type: AnalysisType = AnalysisType.PLANE_STRESS):
+    def __init__(self, mesh: Mesh, materials: Mapping[int, Any],
+                 analysis_type: AnalysisType = AnalysisType.PLANE_STRESS
+                 ) -> None:
         mesh.validate()
         self.mesh = mesh
         self.materials = materials
@@ -78,50 +88,64 @@ class StaticAnalysis:
         """Assemble, constrain, solve and recover stresses.
 
         ``solver`` is ``'banded'`` (band Cholesky), ``'skyline'``
-        (envelope Cholesky) or ``'sparse'`` (scipy sparse LU).  Raises
-        :class:`SolverError` when the model has no constraints at all --
-        a guaranteed rigid-body singularity the 1970 program would only
-        discover as a zero pivot.
+        (envelope Cholesky) or ``'sparse'`` (scipy sparse LU); see
+        :func:`assemble_static` and :func:`solve_static`.
         """
-        if len(self.constraints) == 0:
-            raise SolverError(
-                "the model has no displacement constraints; the stiffness "
-                "matrix is singular (rigid-body motion)"
-            )
-        rhs = self.loads.vector(self.mesh.n_nodes, dofs_per_node=2)
         kind = self.analysis_type.value
-        if solver in ("banded", "skyline"):
-            if solver == "banded":
-                k = assemble_banded(self.mesh, self.materials, kind)
-            else:
-                from repro.fem.skyline import assemble_skyline
-
-                k = assemble_skyline(self.mesh, self.materials, kind)
-            with obs.span(f"fem.solve.{solver}", ndof=k.n):
-                for dof, value in self.constraints.global_dofs(
-                        self.mesh.n_nodes):
-                    k.constrain_dof(dof, rhs, value)
-                disp = k.solve(rhs)
-            if obs.health_enabled():
-                # Residual of the constrained system the factorisation
-                # actually saw: ||K u - f|| / ||f||.
-                obs.health(f"fem.solve.{solver}", solver_health(
-                    residual_rel=_relative_residual(
-                        k.matvec(disp), rhs),
-                    ndof=k.n,
-                ))
-        elif solver == "sparse":
-            k = assemble_sparse(self.mesh, self.materials, kind)
-            with obs.span("fem.solve.sparse", ndof=k.shape[0]):
-                disp = _solve_sparse(k, rhs, self.constraints,
-                                     self.mesh.n_nodes)
-        else:
-            raise SolverError(f"unknown solver {solver!r}")
+        matrix = assemble_static(self.mesh, self.materials, kind, solver)
+        rhs = self.loads.vector(self.mesh.n_nodes, dofs_per_node=2)
+        disp = solve_static(matrix, rhs, self.constraints, self.mesh.n_nodes)
         with obs.span("fem.stress_recovery"):
             stresses = recover_stresses(self.mesh, disp, self.materials,
                                         kind)
         return StaticResult(mesh=self.mesh, displacements=disp,
                             stresses=stresses)
+
+
+def assemble_static(mesh: Mesh, materials: Mapping[int, Any],
+                    analysis_type: str, solver: str) -> StaticMatrix:
+    """The global stiffness in the storage ``solver`` factors."""
+    if solver == "banded":
+        return assemble_banded(mesh, materials, analysis_type)
+    if solver == "skyline":
+        return assemble_skyline(mesh, materials, analysis_type)
+    if solver == "sparse":
+        return assemble_sparse(mesh, materials, analysis_type)
+    raise SolverError(f"unknown solver {solver!r}")
+
+
+def solve_static(matrix: StaticMatrix, rhs: np.ndarray,
+                 constraints: Constraints, n_nodes: int) -> np.ndarray:
+    """Constrain and solve K u = f; returns the displacements.
+
+    Consumes ``matrix`` and ``rhs``: banded and skyline storage are
+    constrained in place by row/column elimination, without a copy, so
+    peak memory stays at one stiffness.  Raises :class:`SolverError`
+    when the model has no constraints at all -- a guaranteed rigid-body
+    singularity the 1970 program would only discover as a zero pivot.
+    """
+    if len(constraints) == 0:
+        raise SolverError(
+            "the model has no displacement constraints; the stiffness "
+            "matrix is singular (rigid-body motion)"
+        )
+    if isinstance(matrix, sp.csr_matrix):
+        with obs.span("fem.solve.sparse", ndof=matrix.shape[0]):
+            return _solve_sparse(matrix, rhs, constraints, n_nodes)
+    solver = ("banded" if isinstance(matrix, BandedSymmetricMatrix)
+              else "skyline")
+    with obs.span(f"fem.solve.{solver}", ndof=matrix.n):
+        for dof, value in constraints.global_dofs(n_nodes):
+            matrix.constrain_dof(dof, rhs, value)
+        disp = matrix.solve(rhs)
+    if obs.health_enabled():
+        # Residual of the constrained system the factorisation actually
+        # saw: ||K u - f|| / ||f||.
+        obs.health(f"fem.solve.{solver}", solver_health(
+            residual_rel=_relative_residual(matrix.matvec(disp), rhs),
+            ndof=matrix.n,
+        ))
+    return disp
 
 
 def _solve_sparse(k: sp.csr_matrix, rhs: np.ndarray,

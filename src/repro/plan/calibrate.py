@@ -85,8 +85,10 @@ REFERENCE_UNITS: Dict[str, Dict[str, float]] = {
 #: absent.  OSPL rates derive from the isogram sub-spans of the
 #: analyze reference run (OSPL has no bench experiment of its own yet).
 #: Restamped after the array-native kernel rewrite (vectorized
-#: numbering, zipper, shaping, reform and contour extraction) -- see
-#: docs/PERFORMANCE.md for the before/after table.
+#: numbering, zipper, shaping, reform and contour extraction), and the
+#: analyze assemble / solve rates again after the one-scatter assembly
+#: and the LAPACK band factor -- see docs/PERFORMANCE.md for the
+#: before/after tables.
 FALLBACK_RATES: Dict[str, float] = {
     "idlz.number": 2.3e-07,
     "idlz.elements": 3.0e-07,
@@ -99,10 +101,10 @@ FALLBACK_RATES: Dict[str, float] = {
     "analyze.reform": 1.9e-06,
     "analyze.renumber": 3.6e-06,
     "analyze.materials": 2.6e-08,
-    "analyze.assemble": 2.9e-05,
+    "analyze.assemble": 1.7e-05,
     "analyze.constrain": 1.9e-07,
     "analyze.loads": 4.6e-06,
-    "analyze.solve": 1.6e-08,
+    "analyze.solve": 3.7e-10,
     "analyze.recover": 9.0e-06,
     "analyze.isograms": 1.2e-05,
     "ospl.intervals": 2.6e-07,

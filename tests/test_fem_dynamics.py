@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import MeshError, SolverError
+from repro.errors import MaterialError, MeshError, SolverError
 from repro.fem.bc import Constraints
 from repro.fem.dynamics import (
     GRAVITY_IN_S2,
@@ -86,6 +86,15 @@ class TestGlobalMass:
         ux = np.zeros(8)
         ux[0::2] = 1.0
         assert ux @ mc @ ux == pytest.approx(ux @ ml @ ux)
+
+    @pytest.mark.parametrize("materials,densities,what", [
+        ({}, {0: 1.0}, "material"),
+        ({0: IsotropicElastic(youngs=1.0, poisson=0.3)}, {}, "density"),
+    ], ids=["material", "density"])
+    def test_missing_group_is_a_material_error(self, unit_square_mesh,
+                                               materials, densities, what):
+        with pytest.raises(MaterialError, match=f"no {what} .* group 0"):
+            assemble_mass(unit_square_mesh, materials, densities)
 
 
 class TestModalAnalysis:

@@ -46,10 +46,6 @@ class TestStorage:
         m = SkylineMatrix.from_dense(a)
         assert np.allclose(m.to_dense(), a)
 
-    def test_from_dof_pairs_envelope(self):
-        m = SkylineMatrix.from_dof_pairs(5, [(0, 4), (2, 3)])
-        assert m.tops == [0, 1, 2, 2, 0]
-
     def test_profile(self):
         m = SkylineMatrix(4, [0, 0, 2, 1])
         assert m.profile() == 0 + 1 + 0 + 2
