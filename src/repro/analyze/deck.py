@@ -33,79 +33,34 @@ Analysis families:
     ========  ==========================================
 
 Reading and writing round-trip byte-exactly for decks this module
-produces; :func:`read_analyze_deck` continues on the same
-:class:`~repro.cards.reader.CardReader` the IDLZ reader left off on.
+produces.  The card layouts live with the one deck parser,
+:func:`repro.cards.parse.parse_analyze`, which walks the IDLZ prefix
+and the section off the same tray.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.cards.card import deck_fingerprint as _deck_fingerprint
-from repro.cards.fortran_format import FortranFormat
+from repro.cards.parse import (
+    ANALYSES,
+    SECTION_FORMATS,
+    AnalyzeDeckModel,
+    parse_analyze,
+    read_or_refuse,
+)
 from repro.cards.reader import CardReader
 from repro.cards.writer import CardWriter
 from repro.core.idlz.deck import (
     IdlzProblem,
-    read_idlz_deck,
+    problem_from_raw,
     write_idlz_deck,
 )
-from repro.errors import CardError
-
-# ----------------------------------------------------------------------
-# Card formats
-# ----------------------------------------------------------------------
-
-FMT_HEADER = FortranFormat("(A8, A16)")
-FMT_MAT = FortranFormat("(A8, I8, 4F16.4)")
-FMT_TMAT = FortranFormat("(A8, I8, 3F16.4)")
-FMT_FIX = FortranFormat("(A8, A8, F16.4, A8)")
-FMT_TEMP = FortranFormat("(A8, A8, 2F16.4)")
-FMT_PRESSURE = FortranFormat("(A8, A8, 2F16.4)")
-FMT_FORCE = FortranFormat("(A8, A8, 3F16.4)")
-FMT_FLUX = FortranFormat("(A8, A8, 2F16.4)")
-FMT_PLOT = FortranFormat("(A8, A16)")
-FMT_SOLVER = FortranFormat("(A8, A8)")
-FMT_MODES = FortranFormat("(A8, I8)")
-FMT_END = FortranFormat("(A8)")
-
-#: Keyword -> card format, for every analysis-section card.
-SECTION_FORMATS: Dict[str, FortranFormat] = {
-    "ANALYZE": FMT_HEADER,
-    "MAT": FMT_MAT,
-    "TMAT": FMT_TMAT,
-    "FIX": FMT_FIX,
-    "TEMP": FMT_TEMP,
-    "PRESSURE": FMT_PRESSURE,
-    "FORCE": FMT_FORCE,
-    "FLUX": FMT_FLUX,
-    "PLOT": FMT_PLOT,
-    "SOLVER": FMT_SOLVER,
-    "MODES": FMT_MODES,
-    "END": FMT_END,
-}
-
-#: Header keyword -> analysis family.
-ANALYSES: Dict[str, str] = {
-    "PSTRESS": "plane_stress",
-    "PSTRAIN": "plane_strain",
-    "AXISYM": "axisymmetric",
-    "THERMAL": "thermal",
-    "MODAL": "modal",
-}
 
 #: Analysis family -> header keyword (for the writer).
 ANALYSIS_KEYWORDS: Dict[str, str] = {v: k for k, v in ANALYSES.items()}
-
-#: Solvers a SOLVER card may request (static analyses only).
-SOLVERS: Tuple[str, ...] = ("banded", "skyline", "sparse")
-
-#: Coordinate axes a selector card may address.
-AXES: Tuple[str, ...] = ("x", "y")
-
-#: Dof selections a FIX card may prescribe.
-FIX_DOFS: Tuple[str, ...] = ("u", "v", "uv")
 
 #: Field names a PLOT card may request beyond the stress components.
 EXTRA_PLOTS: Tuple[str, ...] = ("displacement", "temperature")
@@ -239,165 +194,47 @@ class AnalyzeDeck:
 # Reading
 # ----------------------------------------------------------------------
 
-def _keyword(card_text: str) -> str:
-    return card_text[:8].strip().upper()
-
-
 def read_analyze_deck(reader: CardReader) -> AnalyzeDeck:
     """Parse a combined deck: the IDLZ prefix, then the analysis cards.
 
-    The IDLZ reader consumes exactly its declared problems and stops,
-    so the analysis section is read off the same tray.  Exactly one
-    IDLZ problem is allowed -- the analysis cards address one mesh.
+    Refuses the deck on the first error of :func:`parse_analyze`, which
+    holds the IDLZ prefix to exactly one problem -- the analysis cards
+    address one mesh.
     """
-    problems = read_idlz_deck(reader)
-    if len(problems) != 1:
-        raise CardError(
-            f"analyze decks take exactly one IDLZ problem, "
-            f"got NSET = {len(problems)}"
-        )
-    spec = read_analyze_section(reader)
-    return AnalyzeDeck(problem=problems[0], spec=spec)
+    model = read_or_refuse(parse_analyze, reader)
+    return AnalyzeDeck(problem=problem_from_raw(model.idlz.problems[0]),
+                       spec=spec_from_model(model))
 
 
-def read_analyze_section(reader: CardReader) -> AnalyzeSpec:
-    """Parse the ANALYZE ... END card section off the tray."""
-    header = _next_nonblank(reader, "the ANALYZE header card")
-    kw, family = FMT_HEADER.read(header)
-    if kw.strip().upper() != "ANALYZE":
-        raise CardError(
-            f"expected the ANALYZE header card, got keyword "
-            f"{kw.strip()!r}"
-        )
-    family = family.strip().upper()
-    if family not in ANALYSES:
-        raise CardError(
-            f"ANALYZE card: unknown analysis {family!r} "
-            f"(known: {', '.join(sorted(ANALYSES))})"
-        )
-    spec = _SpecBuilder(ANALYSES[family])
-    while True:
-        card = _next_nonblank(reader, "an analysis card (or END)")
-        keyword = _keyword(card)
-        if keyword == "END":
-            break
-        spec.add(keyword, card)
-    return spec.build()
-
-
-def _next_nonblank(reader: CardReader, expect: str) -> str:
-    while True:
-        if reader.exhausted:
-            raise CardError(
-                f"analysis section truncated while reading {expect}"
-            )
-        text = reader.next_card().padded()
-        if text.strip():
-            return text
-
-
-class _SpecBuilder:
-    """Accumulates analysis cards into an :class:`AnalyzeSpec`."""
-
-    def __init__(self, analysis: str) -> None:
-        self.analysis = analysis
-        self.materials: List[MaterialCard] = []
-        self.thermal_materials: List[ThermalMaterialCard] = []
-        self.supports: List[SupportCard] = []
-        self.temps: List[TempCard] = []
-        self.loads: List[LoadCardSpec] = []
-        self.plots: List[str] = []
-        self.solver = "banded"
-        self.modes = 3
-
-    def add(self, keyword: str, card: str) -> None:
-        if keyword == "MAT":
-            _, group, e, nu, t, rho = FMT_MAT.read(card)
-            self.materials.append(MaterialCard(
-                group=group, youngs=e, poisson=nu,
-                thickness=t if t != 0.0 else 1.0, density=rho,
-            ))
-        elif keyword == "TMAT":
-            _, group, k, rho, cp = FMT_TMAT.read(card)
-            self.thermal_materials.append(ThermalMaterialCard(
-                group=group, conductivity=k,
-                density=rho if rho != 0.0 else 1.0,
-                specific_heat=cp if cp != 0.0 else 1.0,
-            ))
-        elif keyword == "FIX":
-            _, axis, coord, dofs = FMT_FIX.read(card)
-            self.supports.append(SupportCard(
-                axis=_axis(axis), coord=coord, dofs=_fix_dofs(dofs),
-            ))
-        elif keyword == "TEMP":
-            _, axis, coord, value = FMT_TEMP.read(card)
-            self.temps.append(TempCard(axis=_axis(axis), coord=coord,
-                                       value=value))
-        elif keyword == "PRESSURE":
-            _, axis, coord, p = FMT_PRESSURE.read(card)
-            self.loads.append(LoadCardSpec(
-                kind="pressure", axis=_axis(axis), coord=coord,
-                values=(p,),
-            ))
-        elif keyword == "FORCE":
-            _, axis, coord, fx, fy = FMT_FORCE.read(card)
-            self.loads.append(LoadCardSpec(
-                kind="force", axis=_axis(axis), coord=coord,
-                values=(fx, fy),
-            ))
-        elif keyword == "FLUX":
-            _, axis, coord, q = FMT_FLUX.read(card)
-            self.loads.append(LoadCardSpec(
-                kind="flux", axis=_axis(axis), coord=coord, values=(q,),
-            ))
-        elif keyword == "PLOT":
-            _, name = FMT_PLOT.read(card)
-            self.plots.append(name.strip().lower())
-        elif keyword == "SOLVER":
-            _, name = FMT_SOLVER.read(card)
-            self.solver = name.strip().lower()
-        elif keyword == "MODES":
-            _, n = FMT_MODES.read(card)
-            self.modes = n
-        else:
-            raise CardError(
-                f"unknown analysis card keyword {keyword!r} "
-                f"(known: {', '.join(sorted(SECTION_FORMATS))})"
-            )
-
-    def build(self) -> AnalyzeSpec:
-        if self.solver not in SOLVERS:
-            raise CardError(
-                f"SOLVER card: unknown solver {self.solver!r} "
-                f"(known: {', '.join(SOLVERS)})"
-            )
-        return AnalyzeSpec(
-            analysis=self.analysis,
-            materials=tuple(self.materials),
-            thermal_materials=tuple(self.thermal_materials),
-            supports=tuple(self.supports),
-            temps=tuple(self.temps),
-            loads=tuple(self.loads),
-            plots=tuple(self.plots),
-            solver=self.solver,
-            modes=self.modes,
-        )
-
-
-def _axis(raw: str) -> str:
-    axis = raw.strip().lower()
-    if axis not in AXES:
-        raise CardError(f"selector axis must be X or Y, got {raw.strip()!r}")
-    return axis
-
-
-def _fix_dofs(raw: str) -> str:
-    dofs = raw.strip().lower()
-    if dofs not in FIX_DOFS:
-        raise CardError(
-            f"FIX card dofs must be U, V or UV, got {raw.strip()!r}"
-        )
-    return dofs
+def spec_from_model(model: AnalyzeDeckModel) -> AnalyzeSpec:
+    """The runtime spec of a parsed analysis section."""
+    assert model.analysis is not None
+    return AnalyzeSpec(
+        analysis=model.analysis,
+        materials=tuple(
+            MaterialCard(group=m.group, youngs=m.youngs, poisson=m.poisson,
+                         thickness=m.thickness, density=m.density)
+            for m in model.materials),
+        thermal_materials=tuple(
+            ThermalMaterialCard(group=t.group, conductivity=t.conductivity,
+                                density=t.density,
+                                specific_heat=t.specific_heat)
+            for t in model.thermal_materials),
+        supports=tuple(
+            SupportCard(axis=s.axis.lower(), coord=s.coord,
+                        dofs=s.dofs.lower())
+            for s in model.supports),
+        temps=tuple(
+            TempCard(axis=t.axis.lower(), coord=t.coord, value=t.value)
+            for t in model.temps),
+        loads=tuple(
+            LoadCardSpec(kind=ld.kind.lower(), axis=ld.axis.lower(),
+                         coord=ld.coord, values=ld.values)
+            for ld in model.loads),
+        plots=tuple(plot.name for plot in model.plots),
+        solver=model.solver,
+        modes=model.modes,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -413,27 +250,27 @@ def write_analyze_deck(deck: AnalyzeDeck) -> CardWriter:
 
 def write_analyze_section(writer: CardWriter, spec: AnalyzeSpec) -> None:
     """Punch the ANALYZE ... END cards onto an existing writer."""
-    writer.punch(FMT_HEADER, ["ANALYZE", ANALYSIS_KEYWORDS[spec.analysis]])
+    def punch(keyword: str, *values: object) -> None:
+        writer.punch(SECTION_FORMATS[keyword], [keyword, *values])
+
+    punch("ANALYZE", ANALYSIS_KEYWORDS[spec.analysis])
     for mat in spec.materials:
-        writer.punch(FMT_MAT, ["MAT", mat.group, mat.youngs, mat.poisson,
-                               mat.thickness, mat.density])
+        punch("MAT", mat.group, mat.youngs, mat.poisson, mat.thickness,
+              mat.density)
     for tmat in spec.thermal_materials:
-        writer.punch(FMT_TMAT, ["TMAT", tmat.group, tmat.conductivity,
-                                tmat.density, tmat.specific_heat])
+        punch("TMAT", tmat.group, tmat.conductivity, tmat.density,
+              tmat.specific_heat)
     for sup in spec.supports:
-        writer.punch(FMT_FIX, ["FIX", sup.axis.upper(), sup.coord,
-                               sup.dofs.upper()])
+        punch("FIX", sup.axis.upper(), sup.coord, sup.dofs.upper())
     for temp in spec.temps:
-        writer.punch(FMT_TEMP, ["TEMP", temp.axis.upper(), temp.coord,
-                                temp.value])
+        punch("TEMP", temp.axis.upper(), temp.coord, temp.value)
     for load in spec.loads:
-        fmt = SECTION_FORMATS[load.kind.upper()]
-        writer.punch(fmt, [load.kind.upper(), load.axis.upper(),
-                           load.coord, *load.values])
+        punch(load.kind.upper(), load.axis.upper(), load.coord,
+              *load.values)
     for plot in spec.plots:
-        writer.punch(FMT_PLOT, ["PLOT", plot.upper()])
+        punch("PLOT", plot.upper())
     if spec.solver != "banded":
-        writer.punch(FMT_SOLVER, ["SOLVER", spec.solver.upper()])
+        punch("SOLVER", spec.solver.upper())
     if spec.modes != 3:
-        writer.punch(FMT_MODES, ["MODES", spec.modes])
-    writer.punch(FMT_END, ["END"])
+        punch("MODES", spec.modes)
+    punch("END")

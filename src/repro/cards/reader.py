@@ -5,6 +5,10 @@ order, each READ pulling one (or, via ``read_list``, several) cards under a
 FORMAT.  Running off the end of the tray raises :class:`CardError` with the
 card index for diagnosis, which is friendlier than the original program's
 end-of-file halt.
+
+The tray holds plain card images; the deck parses of
+:mod:`repro.cards.parse` walk them in place and move :attr:`position`
+past the data set they read.
 """
 
 from __future__ import annotations
@@ -21,36 +25,33 @@ class CardReader:
     """Reads a deck of cards front to back."""
 
     def __init__(self, cards: Iterable[Union[Card, str]]):
-        self._cards: List[Card] = [
-            c if isinstance(c, Card) else Card(c) for c in cards
+        #: One image per card, as punched (not yet checked).
+        self.images: List[str] = [
+            c.text if isinstance(c, Card) else c.rstrip("\r\n") for c in cards
         ]
-        self._pos = 0
+        #: Index of the next card to be read (0-based).
+        self.position = 0
 
     @classmethod
     def from_text(cls, text: str) -> "CardReader":
         return cls(text.splitlines())
 
     @property
-    def position(self) -> int:
-        """Index of the next card to be read (0-based)."""
-        return self._pos
-
-    @property
     def exhausted(self) -> bool:
-        return self._pos >= len(self._cards)
+        return self.position >= len(self.images)
 
     def remaining(self) -> int:
-        return len(self._cards) - self._pos
+        return len(self.images) - self.position
 
     def next_card(self) -> Card:
         """Consume and return the next raw card."""
         if self.exhausted:
             raise CardError(
-                f"deck exhausted after {len(self._cards)} card(s); "
+                f"deck exhausted after {len(self.images)} card(s); "
                 "the program tried to read past the end of the tray"
             )
-        card = self._cards[self._pos]
-        self._pos += 1
+        card = Card(self.images[self.position])
+        self.position += 1
         obs.count("cards.read")
         return card
 
@@ -58,7 +59,7 @@ class CardReader:
         """Look at the next card without consuming it."""
         if self.exhausted:
             raise CardError("deck exhausted; nothing to peek at")
-        return self._cards[self._pos]
+        return Card(self.images[self.position])
 
     def read(self, fmt: Union[FortranFormat, str]) -> List[Any]:
         """Read one card under ``fmt`` and return its values."""
@@ -74,4 +75,4 @@ class CardReader:
 
     def rewind(self) -> None:
         """Put the tray back to the first card."""
-        self._pos = 0
+        self.position = 0

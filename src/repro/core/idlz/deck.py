@@ -26,7 +26,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cards.card import deck_fingerprint as _deck_fingerprint
-from repro.cards.fortran_format import FortranFormat
+from repro.cards.parse import (
+    IDLZ_TYPE1,
+    IDLZ_TYPE3,
+    IDLZ_TYPE4,
+    IDLZ_TYPE5,
+    IDLZ_TYPE6,
+    RawIdlzProblem,
+    parse_idlz,
+    read_or_refuse,
+)
 from repro.cards.reader import CardReader
 from repro.cards.writer import CardWriter
 from repro.core.idlz.limits import IdlzLimits, UNLIMITED
@@ -37,14 +46,6 @@ from repro.core.idlz.output import (
 from repro.core.idlz.pipeline import Idealization, Idealizer
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.errors import CardError
-
-FMT_TYPE1 = FortranFormat("(I5)")
-FMT_TYPE2 = FortranFormat("(12A6)")
-FMT_TYPE3 = FortranFormat("(4I5)")
-FMT_TYPE4 = FortranFormat("(5I5, 5X, 2I5)")
-FMT_TYPE5 = FortranFormat("(2I5)")
-FMT_TYPE6 = FortranFormat("(4I5, 5F8.4)")
 
 
 @dataclass
@@ -105,57 +106,28 @@ def deck_fingerprint(text: str) -> str:
 # ----------------------------------------------------------------------
 
 def read_idlz_deck(reader: CardReader) -> List[IdlzProblem]:
-    """Parse a full IDLZ card deck into problems."""
-    (nset,) = FMT_TYPE1.read(reader.next_card().padded())
-    if nset < 1:
-        raise CardError(f"type-1 card: NSET must be >= 1, got {nset}")
-    return [_read_problem(reader) for _ in range(nset)]
+    """Parse a full IDLZ card deck into problems.
+
+    Refuses the deck on the first error of :func:`parse_idlz`; the
+    strict :class:`Subdivision` build then raises its own typed errors.
+    """
+    model = read_or_refuse(parse_idlz, reader)
+    return [problem_from_raw(raw) for raw in model.problems]
 
 
-def _read_problem(reader: CardReader) -> IdlzProblem:
-    title = "".join(FMT_TYPE2.read(reader.next_card().padded())).rstrip()
-    noplot, nonumb, nopnch, nsbdvn = FMT_TYPE3.read(
-        reader.next_card().padded()
-    )
-    if nsbdvn < 1:
-        raise CardError(f"type-3 card: NSBDVN must be >= 1, got {nsbdvn}")
-    subdivisions: List[Subdivision] = []
-    for _ in range(nsbdvn):
-        i, kk1, ll1, kk2, ll2, ntaprw, ntapcm = FMT_TYPE4.read(
-            reader.next_card().padded()
-        )
-        subdivisions.append(Subdivision(
-            index=i, kk1=kk1, ll1=ll1, kk2=kk2, ll2=ll2,
-            ntaprw=ntaprw, ntapcm=ntapcm,
-        ))
-    segments: List[ShapingSegment] = []
-    for _ in range(nsbdvn):
-        sub_no, nlines = FMT_TYPE5.read(reader.next_card().padded())
-        if nlines < 0:
-            raise CardError(f"type-5 card: NLINES must be >= 0, got {nlines}")
-        for _ in range(nlines):
-            k1, l1, k2, l2, x1, y1, x2, y2, radius = FMT_TYPE6.read(
-                reader.next_card().padded()
-            )
-            segments.append(ShapingSegment(
-                subdivision=sub_no, k1=k1, l1=l1, k2=k2, l2=l2,
-                x1=x1, y1=y1, x2=x2, y2=y2, radius=radius,
-            ))
-    nodal_format = "".join(
-        FMT_TYPE2.read(reader.next_card().padded())
-    ).rstrip()
-    element_format = "".join(
-        FMT_TYPE2.read(reader.next_card().padded())
-    ).rstrip()
+def problem_from_raw(raw: RawIdlzProblem) -> IdlzProblem:
+    """The runtime problem of one fully parsed data set."""
+    assert raw.title_card is not None
+    assert raw.nodal_format is not None and raw.element_format is not None
     return IdlzProblem(
-        title=title,
-        subdivisions=subdivisions,
-        segments=segments,
-        noplot=noplot,
-        nonumb=nonumb,
-        nopnch=nopnch,
-        nodal_format=nodal_format or DEFAULT_NODAL_FORMAT,
-        element_format=element_format or DEFAULT_ELEMENT_FORMAT,
+        title=raw.title_card.hollerith,
+        subdivisions=[sub.build() for sub in raw.subdivisions],
+        segments=[seg.to_segment() for seg in raw.segments],
+        noplot=raw.noplot,
+        nonumb=raw.nonumb,
+        nopnch=raw.nopnch,
+        nodal_format=raw.nodal_format.spec or DEFAULT_NODAL_FORMAT,
+        element_format=raw.element_format.spec or DEFAULT_ELEMENT_FORMAT,
     )
 
 
@@ -166,7 +138,7 @@ def _read_problem(reader: CardReader) -> IdlzProblem:
 def write_idlz_deck(problems: Sequence[IdlzProblem]) -> CardWriter:
     """Punch a complete IDLZ input deck."""
     writer = CardWriter()
-    writer.punch(FMT_TYPE1, [len(problems)])
+    writer.punch(IDLZ_TYPE1, [len(problems)])
     for problem in problems:
         _write_problem(writer, problem)
     return writer
@@ -174,12 +146,12 @@ def write_idlz_deck(problems: Sequence[IdlzProblem]) -> CardWriter:
 
 def _write_problem(writer: CardWriter, problem: IdlzProblem) -> None:
     writer.punch_card(problem.title[:72])
-    writer.punch(FMT_TYPE3, [
+    writer.punch(IDLZ_TYPE3, [
         problem.noplot, problem.nonumb, problem.nopnch,
         len(problem.subdivisions),
     ])
     for sub in problem.subdivisions:
-        writer.punch(FMT_TYPE4, [
+        writer.punch(IDLZ_TYPE4, [
             sub.index, sub.kk1, sub.ll1, sub.kk2, sub.ll2,
             sub.ntaprw, sub.ntapcm,
         ])
@@ -188,9 +160,9 @@ def _write_problem(writer: CardWriter, problem: IdlzProblem) -> None:
         by_sub.setdefault(seg.subdivision, []).append(seg)
     for sub in problem.subdivisions:
         segs = by_sub.get(sub.index, [])
-        writer.punch(FMT_TYPE5, [sub.index, len(segs)])
+        writer.punch(IDLZ_TYPE5, [sub.index, len(segs)])
         for seg in segs:
-            writer.punch(FMT_TYPE6, [
+            writer.punch(IDLZ_TYPE6, [
                 seg.k1, seg.l1, seg.k2, seg.l2,
                 seg.x1, seg.y1, seg.x2, seg.y2, seg.radius,
             ])

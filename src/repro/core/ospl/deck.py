@@ -16,24 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.cards.card import deck_fingerprint as _deck_fingerprint
-from repro.cards.fortran_format import FortranFormat
+from repro.cards.parse import (
+    OSPL_TYPE1,
+    OSPL_TYPE3,
+    OSPL_TYPE4,
+    parse_ospl,
+    read_or_refuse,
+)
 from repro.cards.reader import CardReader
 from repro.cards.writer import CardWriter
 from repro.core.ospl.limits import OsplLimits, UNLIMITED
 from repro.core.ospl.plot import ContourPlot, conplt
-from repro.errors import CardError
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
 from repro.geometry.primitives import BoundingBox
 from repro.plotter.device import Plotter4020
-
-FMT_TYPE1 = FortranFormat("(2I5, 5F10.4)")
-FMT_TYPE2 = FortranFormat("(12A6)")
-FMT_TYPE3 = FortranFormat("(2F9.5, 22X, F10.3, I1)")
-FMT_TYPE4 = FortranFormat("(3I5)")
 
 
 @dataclass
@@ -72,41 +70,18 @@ def deck_fingerprint(text: str) -> str:
 
 
 def read_ospl_deck(reader: CardReader) -> OsplProblem:
-    """Parse one OSPL data set from the card tray."""
-    nn, ne, xmx, xmn, ymx, ymn, delta = FMT_TYPE1.read(
-        reader.next_card().padded()
-    )
-    if nn < 3 or ne < 1:
-        raise CardError(f"type-1 card: NN = {nn}, NE = {ne} is not a mesh")
-    title1 = "".join(FMT_TYPE2.read(reader.next_card().padded())).rstrip()
-    title2 = "".join(FMT_TYPE2.read(reader.next_card().padded())).rstrip()
-    xs, ys, values, flags = [], [], [], []
-    for _ in range(nn):
-        x, y, s, n = FMT_TYPE3.read(reader.next_card().padded())
-        xs.append(x)
-        ys.append(y)
-        values.append(s)
-        flags.append(n)
-    elements = []
-    for _ in range(ne):
-        n1, n2, n3 = FMT_TYPE4.read(reader.next_card().padded())
-        for n in (n1, n2, n3):
-            if n < 1 or n > nn:
-                raise CardError(
-                    f"type-4 card references node {n} of {nn}"
-                )
-        elements.append((n1 - 1, n2 - 1, n3 - 1))
-    mesh = Mesh(
-        nodes=np.column_stack([xs, ys]),
-        elements=np.array(elements, dtype=int),
-        boundary_flags=np.array(flags, dtype=int),
-    )
+    """Parse one OSPL data set from the card tray (refusing the deck on
+    the first error of :func:`parse_ospl`)."""
+    model = read_or_refuse(parse_ospl, reader)
+    mesh = Mesh(nodes=model.xy, elements=model.elements - 1,
+                boundary_flags=model.flags)
     mesh.orient_ccw()
-    field = NodalField("S", np.array(values))
-    window = BoundingBox(xmin=xmn, ymin=ymn, xmax=xmx, ymax=ymx)
+    title1, title2 = (card.hollerith for card in model.title_cards)
     return OsplProblem(
-        mesh=mesh, field=field, window=window, delta=delta,
-        title1=title1, title2=title2,
+        mesh=mesh, field=NodalField("S", model.values),
+        window=BoundingBox(xmin=model.xmn, ymin=model.ymn,
+                           xmax=model.xmx, ymax=model.ymx),
+        delta=model.delta, title1=title1, title2=title2,
     )
 
 
@@ -114,7 +89,7 @@ def write_ospl_deck(problem: OsplProblem) -> CardWriter:
     """Punch an OSPL data set (round-trips with :func:`read_ospl_deck`)."""
     writer = CardWriter()
     w = problem.window
-    writer.punch(FMT_TYPE1, [
+    writer.punch(OSPL_TYPE1, [
         problem.mesh.n_nodes, problem.mesh.n_elements,
         w.xmax, w.xmin, w.ymax, w.ymin, problem.delta,
     ])
@@ -123,12 +98,12 @@ def write_ospl_deck(problem: OsplProblem) -> CardWriter:
     flags = problem.mesh.flags()
     for i in range(problem.mesh.n_nodes):
         x, y = problem.mesh.nodes[i]
-        writer.punch(FMT_TYPE3, [
+        writer.punch(OSPL_TYPE3, [
             float(x), float(y), float(problem.field.values[i]),
             int(flags[i]),
         ])
     for tri in problem.mesh.elements:
-        writer.punch(FMT_TYPE4, [int(tri[0]) + 1, int(tri[1]) + 1,
+        writer.punch(OSPL_TYPE4, [int(tri[0]) + 1, int(tri[1]) + 1,
                                  int(tri[2]) + 1])
     return writer
 

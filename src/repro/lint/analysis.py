@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.cards.parse import RawIdlzProblem, RawSegment
 from repro.core.idlz.subdivision import Subdivision
 from repro.errors import IdealizationError, LimitError
-from repro.lint.model import RawIdlzProblem, RawSegment
 
 
 class ProblemAnalysis:

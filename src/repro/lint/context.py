@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
+from repro.cards.parse import CardView
 from repro.lint.diagnostics import Diagnostic, SourceLocation
-from repro.lint.model import CardView
 from repro.lint.registry import get_rule
 
 
@@ -36,8 +36,9 @@ class LintContext:
         severity = rule.severity
         if self.strict and code.startswith("LIM") and severity == "warning":
             severity = "error"
-        location = (card.location(self.path) if card is not None
-                    else SourceLocation(path=self.path))
+        location = (SourceLocation(path=self.path, card=card.number,
+                                   text=card.text)
+                    if card is not None else SourceLocation(path=self.path))
         diagnostic = Diagnostic(
             code=rule.code, severity=severity,
             message=rule.format(**values), location=location, where=where,

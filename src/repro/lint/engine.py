@@ -1,8 +1,8 @@
 """The analyzer's entry points: lint text, a file, or a tray of files.
 
 ``lint_text`` is the whole pipeline for one deck: classify (IDLZ,
-OSPL or analyze), parse tolerantly, derive the per-problem analyses,
-run every
+OSPL or analyze), parse with the programs' own tolerant parser
+(:mod:`repro.cards.parse`), derive the per-problem analyses, run every
 registered checker, and close with the trailing-card scan.  Nothing in
 here executes a deck -- the heaviest work is numbering an assemblage's
 lattice, which is exactly what makes the LIM and FMT rules honest.
@@ -15,18 +15,19 @@ from typing import List, Optional, Sequence, Union
 
 from repro import obs
 from repro.batch.jobs import classify_deck_text
-from repro.errors import BatchError, LintError
-from repro.lint.analysis import ProblemAnalysis
-from repro.lint.context import LintContext
-from repro.lint.diagnostics import FileLintResult
-from repro.lint.model import (
+from repro.cards.parse import (
     AnalyzeDeckModel,
+    CardView,
     IdlzDeckModel,
     OsplDeckModel,
     parse_analyze,
     parse_idlz,
     parse_ospl,
 )
+from repro.errors import BatchError, LintError
+from repro.lint.analysis import ProblemAnalysis
+from repro.lint.context import LintContext
+from repro.lint.diagnostics import FileLintResult
 from repro.lint.registry import checkers_for
 
 #: File extension the tray scan collects (same as the batch engine).
@@ -117,9 +118,10 @@ def _check_trailing(ctx: LintContext,
     """Cards past the declared deck that the run would never read."""
     if model.truncated:
         return
-    trailing = model.cards[model.cards_consumed:]
-    if trailing and any(card.text.strip() for card in trailing):
-        ctx.emit(code, trailing[0], "deck", count=len(trailing))
+    trailing = model.reader.images[model.cards_consumed:]
+    if any(text.strip() for text in trailing):
+        ctx.emit(code, CardView(model.cards_consumed + 1, trailing[0]),
+                 "deck", count=len(trailing))
 
 
 def _finish(result: FileLintResult) -> FileLintResult:

@@ -1,13 +1,16 @@
 """Analyze rules (ANA0xx): the analysis section of a combined deck.
 
-ANA001-ANA004 and ANA010 are structural and emitted by the tolerant
-parser (:func:`repro.lint.model.parse_analyze`); the checkers below
+ANA001-ANA004 and ANA010 are structural and emitted by the deck
+parser (:func:`repro.cards.parse.parse_analyze`), as is ANA009 for a
+selector axis, FIX dofs, SOLVER or MODES that no analysis honours --
+the runtime reader refuses exactly those decks.  The checkers below
 examine the parsed section against the IDLZ problem it rides on, for
 the mistakes that would halt the solve: a subdivision no MAT/TMAT card
 covers, inadmissible elastic constants, an unconstrained (singular)
-model, and PLOT / SOLVER / load requests the analysis family cannot
-honour.  The embedded IDLZ problem itself is checked by the full IDZ /
-FMT / LIM rule set, which the engine runs over the same deck first.
+model, and PLOT / load requests the analysis family cannot honour
+(the analyze pipeline refuses those too, for specs built in Python).
+The embedded IDLZ problem itself is checked by the full IDZ / FMT /
+LIM rule set, which the engine runs over the same deck first.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from __future__ import annotations
 import re
 from typing import List, Optional
 
-from repro.analyze.deck import AXES, FIX_DOFS, SOLVERS, STRESS_PLOTS
+from repro.analyze.deck import STRESS_PLOTS
+from repro.cards.parse import AnalyzeDeckModel, RawLoad
 from repro.errors import MaterialError
 from repro.fem.materials import IsotropicElastic, ThermalMaterial
 from repro.lint.analysis import ProblemAnalysis
 from repro.lint.context import LintContext
-from repro.lint.model import AnalyzeDeckModel, CardView, RawLoad
 from repro.lint.registry import checker, register_rule
 
 #: Families whose solution is a static displacement field.
@@ -189,44 +192,20 @@ def check_constraints(ctx: LintContext, model: AnalyzeDeckModel,
 @checker("analyze")
 def check_requests(ctx: LintContext, model: AnalyzeDeckModel,
                    analyses: List[ProblemAnalysis]) -> None:
-    """Selector, solver, modes, load-kind and plot requests (ANA009)."""
+    """Load-kind and plot requests (ANA009; the parser checks the
+    rest of ANA009 card by card)."""
     if model.analysis is None:
         return
-    for support in model.supports:
-        _check_axis(ctx, support.card, "FIX", support.axis)
-        if support.dofs.lower() not in FIX_DOFS:
-            ctx.emit("ANA009", support.card, "analysis", keyword="FIX",
-                     detail=f"dofs must be U, V or UV, "
-                            f"got {support.dofs!r}")
-    for temp in model.temps:
-        _check_axis(ctx, temp.card, "TEMP", temp.axis)
     for load in model.loads:
-        _check_axis(ctx, load.card, load.kind, load.axis)
         detail = _load_problem(model, load)
         if detail is not None:
             ctx.emit("ANA009", load.card, "analysis", keyword=load.kind,
                      detail=detail)
-    if model.solver not in SOLVERS:
-        ctx.emit("ANA009", model.solver_card or model.header_card,
-                 "analysis", keyword="SOLVER",
-                 detail=f"unknown solver {model.solver!r} "
-                        f"(known: {', '.join(SOLVERS)})")
-    if model.modes < 1:
-        ctx.emit("ANA009", model.modes_card or model.header_card,
-                 "analysis", keyword="MODES",
-                 detail=f"MODES = {model.modes} must be >= 1")
     for plot in model.plots:
         detail = _plot_problem(model, plot.name)
         if detail is not None:
             ctx.emit("ANA009", plot.card, "analysis", keyword="PLOT",
                      detail=detail)
-
-
-def _check_axis(ctx: LintContext, card: CardView, keyword: str,
-                axis: str) -> None:
-    if axis.lower() not in AXES:
-        ctx.emit("ANA009", card, "analysis", keyword=keyword,
-                 detail=f"selector axis must be X or Y, got {axis!r}")
 
 
 def _load_problem(model: AnalyzeDeckModel,

@@ -15,10 +15,10 @@ from typing import List, Optional, Tuple
 # _encode is the punch path's own field encoder; using it (rather than
 # re-deriving the asterisk rule) keeps this analysis exact.
 from repro.cards.fortran_format import FieldSpec, FortranFormat, _encode
+from repro.cards.parse import IdlzDeckModel, RawFormat
 from repro.errors import FormatError
 from repro.lint.analysis import ProblemAnalysis
 from repro.lint.context import LintContext
-from repro.lint.model import IdlzDeckModel, RawFormat
 from repro.lint.registry import checker, register_rule
 
 #: Values IDLZ punches per nodal / element card (see ``output.punch_cards``).
@@ -100,7 +100,7 @@ def check_formats(ctx: LintContext, model: IdlzDeckModel,
 def _parse(ctx: LintContext, raw: RawFormat,
            where: str) -> Optional[FortranFormat]:
     try:
-        return FortranFormat(raw.spec)
+        return FortranFormat(raw.spec.strip())
     except FormatError as exc:
         ctx.emit("FMT001", raw.card, f"{where}, {raw.role} FORMAT",
                  detail=str(exc))

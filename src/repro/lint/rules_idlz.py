@@ -1,7 +1,7 @@
 """IDLZ rules: structural (IDZ0xx), geometry (IDZ1xx), shaping (IDZ2xx).
 
-The structural codes are emitted by the tolerant parser in
-:mod:`repro.lint.model` while it walks the tray; the geometry and
+The structural codes are emitted by the deck parser in
+:mod:`repro.cards.parse` while it walks the tray; the geometry and
 shaping checkers below run over the parsed model, reusing the runtime's
 own :class:`~repro.core.idlz.subdivision.Subdivision` and
 :func:`~repro.geometry.arc.arc_through` in pure-analysis mode so lint
@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
+from repro.cards.parse import IdlzDeckModel, RawSegment
 from repro.errors import ArcError
 from repro.geometry.arc import arc_through
 from repro.geometry.primitives import Point
 from repro.limits import MIN_K, MIN_L
 from repro.lint.analysis import ProblemAnalysis
 from repro.lint.context import LintContext
-from repro.lint.model import IdlzDeckModel, RawSegment
 from repro.lint.registry import checker, register_rule
 
 #: Tolerance for contradictory real locations of one lattice point

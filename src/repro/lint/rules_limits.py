@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.cards.parse import IdlzDeckModel, OsplDeckModel
 from repro.limits import limit
 from repro.lint.analysis import ProblemAnalysis
 from repro.lint.context import LintContext
-from repro.lint.model import IdlzDeckModel, OsplDeckModel
 from repro.lint.registry import checker, register_rule
 
 register_rule(

@@ -1,18 +1,19 @@
 """OSPL rules (OSP0xx): mesh coherence of the contour-plot deck.
 
-OSP001-OSP003 are structural and emitted by the tolerant parser; the
-checkers below examine the parsed node and element cards for the
-mistakes that would halt (or quietly ruin) the contour run: references
-off the node table, degenerate triangles, a window or interval request
-the plotter cannot honour.
+OSP001-OSP003 and OSP005 (a reference off the node table) are emitted
+by the deck parser (:mod:`repro.cards.parse`), so the runtime reader
+refuses exactly those decks; the checkers below examine the parsed node
+and element columns for the mistakes that would quietly ruin the
+contour run: degenerate triangles, a window or interval request the
+plotter cannot honour, stray or doubled nodes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
+from repro.cards.parse import OsplDeckModel
 from repro.lint.context import LintContext
-from repro.lint.model import OsplDeckModel
 from repro.lint.registry import checker, register_rule
 
 #: Triangles flatter than this (absolute area) count as zero-area.
@@ -120,42 +121,31 @@ def check_window(ctx: LintContext, model: OsplDeckModel) -> None:
         ctx.emit("OSP010", card, "deck",
                  xmn=f"{model.xmn:g}", xmx=f"{model.xmx:g}",
                  ymn=f"{model.ymn:g}", ymx=f"{model.ymx:g}")
-    values = [node.value for node in model.nodes]
+    values = model.values
     if (model.delta == 0.0 and len(values) == model.nn
-            and values and min(values) == max(values)):
+            and values.min() == values.max()):
         ctx.emit("OSP008", card, "deck", value=f"{values[0]:g}")
 
 
 @checker("ospl")
 def check_elements(ctx: LintContext, model: OsplDeckModel) -> None:
-    """Element connectivity and shape (OSP005-007)."""
-    coords: Dict[int, Tuple[float, float]] = {
-        node.index: (node.x, node.y) for node in model.nodes
-    }
-    for element in model.elements:
-        where = f"element {element.index}"
-        in_range = True
-        for node in element.nodes:
-            if node < 1 or node > model.nn:
-                ctx.emit("OSP005", element.card, where,
-                         index=element.index, node=node, nn=model.nn)
-                in_range = False
-        if not in_range:
+    """Element shape (OSP006-007) over the elements whose nodes exist."""
+    xy = model.xy.tolist()
+    for index, nodes in enumerate(model.elements.tolist(), start=1):
+        if min(nodes) < 1 or max(nodes) > model.nn:
+            continue  # OSP005, from the parser
+        where = f"element {index}"
+        if len(set(nodes)) < 3:
+            repeated = max(nodes, key=nodes.count)
+            ctx.emit("OSP006", model.element_card(index), where,
+                     index=index, node=repeated)
             continue
-        distinct = set(element.nodes)
-        if len(distinct) < 3:
-            repeated = max(element.nodes,
-                           key=lambda n: element.nodes.count(n))
-            ctx.emit("OSP006", element.card, where,
-                     index=element.index, node=repeated)
-            continue
-        if not all(node in coords for node in element.nodes):
-            continue  # node cards missing: truncation already reported
-        (x1, y1), (x2, y2), (x3, y3) = (coords[n] for n in element.nodes)
+        (x1, y1), (x2, y2), (x3, y3) = (xy[n - 1] for n in nodes)
         area = abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)) / 2.0
         if area < _AREA_TOL:
-            ctx.emit("OSP007", element.card, where, index=element.index,
-                     n1=element.n1, n2=element.n2, n3=element.n3)
+            n1, n2, n3 = nodes
+            ctx.emit("OSP007", model.element_card(index), where,
+                     index=index, n1=n1, n2=n2, n3=n3)
 
 
 @checker("ospl")
@@ -163,16 +153,13 @@ def check_nodes(ctx: LintContext, model: OsplDeckModel) -> None:
     """Node usage and duplication (OSP011-012)."""
     if model.truncated:
         return  # half a deck would drown in spurious "unreferenced"s
-    referenced: Set[int] = set()
-    for element in model.elements:
-        referenced.update(element.nodes)
+    referenced = set(model.elements.ravel().tolist())
     seen: Dict[Tuple[float, float], int] = {}
-    for node in model.nodes:
-        if node.index not in referenced:
-            ctx.emit("OSP011", node.card, f"node {node.index}",
-                     index=node.index)
-        first = seen.setdefault((node.x, node.y), node.index)
-        if first != node.index:
-            ctx.emit("OSP012", node.card, f"node {node.index}",
-                     index=node.index, other=first,
-                     x=f"{node.x:g}", y=f"{node.y:g}")
+    for index, (x, y) in enumerate(model.xy.tolist(), start=1):
+        if index not in referenced:
+            ctx.emit("OSP011", model.node_card(index), f"node {index}",
+                     index=index)
+        first = seen.setdefault((x, y), index)
+        if first != index:
+            ctx.emit("OSP012", model.node_card(index), f"node {index}",
+                     index=index, other=first, x=f"{x:g}", y=f"{y:g}")

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.lint.context import LintContext
-from repro.lint.model import (
+from repro.cards.parse import (
     AnalyzeDeckModel,
     CardView,
     IdlzDeckModel,
     OsplDeckModel,
 )
+from repro.lint.context import LintContext
 from repro.lint.registry import register_rule
 
 register_rule(

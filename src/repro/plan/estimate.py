@@ -29,8 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.batch.jobs import classify_deck_text
-from repro.errors import BatchError, IdealizationError, PlanError
-from repro.lint.model import (
+from repro.cards.parse import (
     AnalyzeDeckModel,
     IdlzDeckModel,
     OsplDeckModel,
@@ -39,6 +38,7 @@ from repro.lint.model import (
     parse_idlz,
     parse_ospl,
 )
+from repro.errors import BatchError, IdealizationError, PlanError
 from repro.plan.calibrate import Calibration, load_calibration
 from repro.plan.model import DeckPlan, ProblemPlan
 

@@ -113,6 +113,14 @@ class TestReader:
         with pytest.raises(CardError):
             read_analyze_deck(CardReader.from_text(trimmed))
 
+    @pytest.mark.parametrize("modes", [-2, 0])
+    def test_rejects_modes_below_one(self, modes):
+        text = deck_text(plate_deck()).replace(
+            "ANALYZE PSTRESS", "ANALYZE MODAL  ").replace(
+            "END", f"MODES   {modes:8d}\nEND")
+        with pytest.raises(CardError, match=f"MODES = {modes} must be >= 1"):
+            read_analyze_deck(CardReader.from_text(text))
+
     def test_parses_spec_fields(self):
         deck = read_analyze_deck(
             CardReader.from_text(deck_text(plate_deck())))

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from repro.core.idlz.elements import create_elements, triangulate_strip
 from repro.core.idlz.grid import LatticeGrid
 from repro.core.idlz.reform import reform_elements
-from repro.core.idlz.shaping import Shaper, ShapingSegment
-from repro.core.idlz.subdivision import Subdivision
+from repro.core.idlz.shaping import Shaper
 from repro.core.ospl.contour import ContourSet
 from repro.core.ospl.intervals import classify_levels, contour_levels
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
 
+from tests.deckgen import any_assemblage, chain_assemblages
 from tests.scalar_reference import (
     scalar_create_elements,
     scalar_extract_contours,
@@ -29,90 +29,6 @@ from tests.scalar_reference import (
     scalar_shape,
     scalar_zipper,
 )
-
-
-# ----------------------------------------------------------------------
-# Strategies
-# ----------------------------------------------------------------------
-
-@st.composite
-def chain_assemblages(draw):
-    """A horizontal chain of rectangles shaped to a random quad strip.
-
-    Bottom and top boundary heights vary per breakpoint, so shaping
-    produces skewed quads and the reform sweep has real work to do.
-    """
-    n_subs = draw(st.integers(1, 3))
-    widths = [draw(st.integers(1, 3)) for _ in range(n_subs)]
-    rows = draw(st.integers(1, 4))
-    ks = [1]
-    for w in widths:
-        ks.append(ks[-1] + w)
-    total = ks[-1] - 1
-    span = draw(st.floats(2.0, 15.0))
-    xs = [span * (k - 1) / total for k in ks]
-    y_bot = [draw(st.floats(-1.0, 1.0)) for _ in ks]
-    y_top = [draw(st.floats(3.0, 6.0)) for _ in ks]
-    subdivisions = []
-    segments = []
-    for i in range(n_subs):
-        subdivisions.append(Subdivision(
-            index=i + 1, kk1=ks[i], ll1=1, kk2=ks[i + 1], ll2=1 + rows,
-        ))
-        segments.append(ShapingSegment(
-            i + 1, ks[i], 1, ks[i + 1], 1,
-            xs[i], y_bot[i], xs[i + 1], y_bot[i + 1],
-        ))
-        segments.append(ShapingSegment(
-            i + 1, ks[i], 1 + rows, ks[i + 1], 1 + rows,
-            xs[i], y_top[i], xs[i + 1], y_top[i + 1],
-        ))
-    return subdivisions, segments
-
-
-@st.composite
-def tapered_assemblages(draw):
-    """A single tapered subdivision: trapezoid or triangle, either
-    orientation, shaped by its two parallel (possibly degenerate)
-    sides."""
-    taper = draw(st.sampled_from([1, -1]))
-    across = draw(st.integers(2, 4))       # strips
-    long_side = draw(st.integers(2 * (across - 1) + 1,
-                                 2 * (across - 1) + 5))
-    column = draw(st.booleans())
-    width = draw(st.floats(2.0, 10.0))
-    height = draw(st.floats(2.0, 10.0))
-    if column:
-        sub = Subdivision(index=1, kk1=1, ll1=1,
-                          kk2=across, ll2=long_side, ntapcm=taper)
-        (l0a, l1a) = sub.column_span(sub.kk1)
-        (l0b, l1b) = sub.column_span(sub.kk2)
-        segments = [
-            ShapingSegment(1, sub.kk1, l0a, sub.kk1, l1a,
-                           0.0, float(l0a - 1) * height / long_side,
-                           0.0, float(l1a - 1) * height / long_side),
-            ShapingSegment(1, sub.kk2, l0b, sub.kk2, l1b,
-                           width, float(l0b - 1) * height / long_side,
-                           width, float(l1b - 1) * height / long_side),
-        ]
-    else:
-        sub = Subdivision(index=1, kk1=1, ll1=1,
-                          kk2=long_side, ll2=across, ntaprw=taper)
-        (k0a, k1a) = sub.row_span(sub.ll1)
-        (k0b, k1b) = sub.row_span(sub.ll2)
-        segments = [
-            ShapingSegment(1, k0a, sub.ll1, k1a, sub.ll1,
-                           float(k0a - 1) * width / long_side, 0.0,
-                           float(k1a - 1) * width / long_side, 0.0),
-            ShapingSegment(1, k0b, sub.ll2, k1b, sub.ll2,
-                           float(k0b - 1) * width / long_side, height,
-                           float(k1b - 1) * width / long_side, height),
-        ]
-    return [sub], segments
-
-
-def any_assemblage():
-    return st.one_of(chain_assemblages(), tapered_assemblages())
 
 
 def _shape_vectorized(grid, subdivisions, segments):

@@ -5,9 +5,15 @@ the aggregate test at the bottom proves the analyzer reports a wide
 spread of distinct codes and anchors every finding to a real card.
 """
 
+from pathlib import Path
+
 import pytest
 
-from repro.errors import LintError
+from repro.analyze.deck import read_analyze_deck
+from repro.cards.reader import CardReader
+from repro.core.idlz.deck import read_idlz_deck
+from repro.core.ospl.deck import read_ospl_deck
+from repro.errors import CardError, LintError
 from repro.lint import (
     all_rules,
     explain,
@@ -136,6 +142,32 @@ class TestStructuralRules:
                          i5(1, 1, 1, 3, 3), i5(1, -2))
         result = lint_text(text, "neg.deck")
         assert "IDZ009" in codes_of(result)
+
+
+class TestControlCharacters:
+    """A control character is refused by lint and by the program's
+    reader alike, on the same card."""
+
+    EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "decks"
+
+    @pytest.mark.parametrize("deck,keyword,code,reader", [
+        ("plate.deck", None, "IDZ003", read_idlz_deck),
+        ("field.deck", None, "OSP003", read_ospl_deck),
+        ("analyze/plate.analyze.deck", None, "IDZ003", read_analyze_deck),
+        ("analyze/plate.analyze.deck", "MAT", "ANA003", read_analyze_deck),
+    ])
+    def test_tab_is_refused_on_its_card(self, deck, keyword, code, reader):
+        cards = (self.EXAMPLES / deck).read_text().splitlines()
+        index = 1 if keyword is None else next(
+            i for i, card in enumerate(cards) if card.startswith(keyword))
+        cards[index] = cards[index].replace(" ", "\t", 1)
+        text = "\n".join(cards) + "\n"
+        result = lint_text(text, deck)
+        assert [(d.code, d.location.card) for d in result.errors] \
+            == [(code, index + 1)]
+        assert "control characters" in result.errors[0].message
+        with pytest.raises(CardError, match=f"^card {index + 1} \\({code}\\)"):
+            reader(CardReader.from_text(text))
 
 
 # ----------------------------------------------------------------------
