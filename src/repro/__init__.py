@@ -32,80 +32,31 @@ Quickstart::
     print(ideal.summary())
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.errors import (
-    ReproError,
-    GeometryError,
-    ArcError,
-    CardError,
-    FormatError,
-    LimitError,
-    IdealizationError,
-    ShapingError,
-    ContourError,
-    MeshError,
-    MaterialError,
-    SolverError,
-    BoundaryConditionError,
-    PlotterError,
-    BatchError,
-)
-from repro.core.idlz import (
-    Subdivision,
-    ShapingSegment,
-    Idealizer,
-    Idealization,
-    IdlzProblem,
-    read_idlz_deck,
-    write_idlz_deck,
-    plot_idealization,
-    plot_all,
-    print_listing,
-    punch_cards,
-)
-from repro.core.ospl import (
-    conplt,
-    ContourPlot,
-    contour_mesh,
-    choose_interval,
-    OsplProblem,
-    read_ospl_deck,
-    write_ospl_deck,
-)
-from repro.fem import (
-    Mesh,
-    IsotropicElastic,
-    OrthotropicElastic,
-    ThermalMaterial,
-    StaticAnalysis,
-    AnalysisType,
-    StressComponent,
-    ThermalAnalysis,
-    ThermalPulse,
-    NodalField,
-    mesh_bandwidth,
-    renumber_mesh,
-)
-from repro.plotter import Plotter4020, render_svg, save_svg, render_ascii
 
-__all__ = [
-    # errors
-    "ReproError", "GeometryError", "ArcError", "CardError", "FormatError",
-    "LimitError", "IdealizationError", "ShapingError", "ContourError",
-    "MeshError", "MaterialError", "SolverError", "BoundaryConditionError",
-    "PlotterError", "BatchError",
-    # idlz
-    "Subdivision", "ShapingSegment", "Idealizer", "Idealization",
-    "IdlzProblem", "read_idlz_deck", "write_idlz_deck",
-    "plot_idealization", "plot_all", "print_listing", "punch_cards",
-    # ospl
-    "conplt", "ContourPlot", "contour_mesh", "choose_interval",
-    "OsplProblem", "read_ospl_deck", "write_ospl_deck",
-    # fem
-    "Mesh", "IsotropicElastic", "OrthotropicElastic", "ThermalMaterial",
-    "StaticAnalysis", "AnalysisType", "StressComponent",
-    "ThermalAnalysis", "ThermalPulse", "NodalField",
-    "mesh_bandwidth", "renumber_mesh",
-    # plotter
-    "Plotter4020", "render_svg", "save_svg", "render_ascii",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": [
+        "ReproError", "GeometryError", "ArcError", "CardError",
+        "FormatError", "LimitError", "IdealizationError", "ShapingError",
+        "ContourError", "MeshError", "MaterialError", "SolverError",
+        "BoundaryConditionError", "PlotterError", "BatchError",
+    ],
+    "repro.core.idlz": [
+        "Subdivision", "ShapingSegment", "Idealizer", "Idealization",
+        "IdlzProblem", "read_idlz_deck", "write_idlz_deck",
+        "plot_idealization", "plot_all", "print_listing", "punch_cards",
+    ],
+    "repro.core.ospl": [
+        "conplt", "ContourPlot", "contour_mesh", "choose_interval",
+        "OsplProblem", "read_ospl_deck", "write_ospl_deck",
+    ],
+    "repro.fem": [
+        "Mesh", "IsotropicElastic", "OrthotropicElastic", "ThermalMaterial",
+        "StaticAnalysis", "AnalysisType", "StressComponent",
+        "ThermalAnalysis", "ThermalPulse", "NodalField",
+        "mesh_bandwidth", "renumber_mesh",
+    ],
+    "repro.plotter": ["Plotter4020", "render_svg", "save_svg",
+                      "render_ascii"],
+})

@@ -18,31 +18,12 @@ the middle box and the glue:
 See docs/ANALYZE.md.
 """
 
-from repro.analyze.deck import (
-    AnalyzeDeck,
-    AnalyzeSpec,
-    deck_fingerprint,
-    read_analyze_deck,
-    write_analyze_deck,
-)
-from repro.analyze.program import (
-    MANIFEST_SCHEMA,
-    AnalyzeRun,
-    run_analyze,
-    run_analyze_files,
-)
-from repro.analyze.sweep import SweepGrid, run_sweep
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalyzeDeck",
-    "AnalyzeSpec",
-    "AnalyzeRun",
-    "MANIFEST_SCHEMA",
-    "SweepGrid",
-    "deck_fingerprint",
-    "read_analyze_deck",
-    "run_analyze",
-    "run_analyze_files",
-    "run_sweep",
-    "write_analyze_deck",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analyze.deck": ["AnalyzeDeck", "AnalyzeSpec", "deck_fingerprint",
+                           "read_analyze_deck", "write_analyze_deck"],
+    "repro.analyze.program": ["MANIFEST_SCHEMA", "AnalyzeRun", "run_analyze",
+                              "run_analyze_files"],
+    "repro.analyze.sweep": ["SweepGrid", "run_sweep"],
+})

@@ -32,28 +32,15 @@ See docs/BATCH.md for the CLI, the manifest schema and the cache
 invalidation rules.
 """
 
-from repro.batch.cache import ArtifactCache, CacheEntry, cache_key
-from repro.batch.corpus import dump_library
-from repro.batch.jobs import (
-    JobSpec,
-    classify_deck_path,
-    classify_deck_text,
-    discover_jobs,
-)
-from repro.batch.manifest import EXIT_PARTIAL, SCHEMA, BatchManifest
-from repro.batch.runner import (
-    BatchOptions,
-    job_cache_key,
-    job_fingerprint,
-    run_batch,
-)
-from repro.batch.worker import JobTimeout, run_job
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactCache", "CacheEntry", "cache_key",
-    "dump_library",
-    "JobSpec", "classify_deck_path", "classify_deck_text", "discover_jobs",
-    "EXIT_PARTIAL", "SCHEMA", "BatchManifest",
-    "BatchOptions", "job_cache_key", "job_fingerprint", "run_batch",
-    "JobTimeout", "run_job",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.batch.cache": ["ArtifactCache", "CacheEntry", "cache_key"],
+    "repro.batch.corpus": ["dump_library"],
+    "repro.batch.jobs": ["JobSpec", "classify_deck_path",
+                         "classify_deck_text", "discover_jobs"],
+    "repro.batch.manifest": ["EXIT_PARTIAL", "SCHEMA", "BatchManifest"],
+    "repro.batch.runner": ["BatchOptions", "job_cache_key",
+                           "job_fingerprint", "run_batch"],
+    "repro.batch.worker": ["JobTimeout", "run_job"],
+})

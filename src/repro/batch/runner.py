@@ -496,6 +496,10 @@ def _run_round(queue: Sequence[JobSpec], options: BatchOptions
     """One attempt for each queued job, inline or across the pool."""
     if options.jobs == 1 or len(queue) == 1:
         return [(spec, run_job(spec.to_dict())) for spec in queue]
+    if any(spec.program == "analyze" for spec in queue):
+        # Forked workers inherit the coordinator's modules: import the
+        # FEM stack (scipy) once here instead of once per worker.
+        import repro.analyze.program  # noqa: F401
     results: List[Tuple[JobSpec, Dict[str, Any]]] = []
     workers = min(options.jobs, len(queue))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,15 +4,10 @@
 * :mod:`repro.core.ospl` -- automated output plotting (isograms)
 """
 
-from repro.core.idlz import Idealizer, Idealization, Subdivision, ShapingSegment
-from repro.core.ospl import ContourPlot, contour_mesh, choose_interval
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Idealizer",
-    "Idealization",
-    "Subdivision",
-    "ShapingSegment",
-    "ContourPlot",
-    "contour_mesh",
-    "choose_interval",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.idlz": ["Idealizer", "Idealization", "Subdivision",
+                        "ShapingSegment"],
+    "repro.core.ospl": ["ContourPlot", "contour_mesh", "choose_interval"],
+})

@@ -9,65 +9,24 @@ Public surface:
 * :mod:`repro.core.idlz.limits` -- the Table-2 restrictions
 """
 
-from repro.core.idlz.subdivision import Subdivision, SIDES
-from repro.core.idlz.shaping import ShapingSegment, Shaper
-from repro.core.idlz.grid import LatticeGrid
-from repro.core.idlz.elements import create_elements, triangulate_strip
-from repro.core.idlz.reform import reform_elements, quality_report
-from repro.core.idlz.pipeline import Idealizer, Idealization
-from repro.core.idlz.limits import IdlzLimits, STRICT_1970, UNLIMITED
-from repro.core.idlz.output import (
-    plot_mesh,
-    plot_idealization,
-    plot_subdivision,
-    plot_all,
-    print_listing,
-    punch_cards,
-    DEFAULT_NODAL_FORMAT,
-    DEFAULT_ELEMENT_FORMAT,
-)
-from repro.core.idlz.deck import (
-    IdlzProblem,
-    read_idlz_deck,
-    write_idlz_deck,
-)
-from repro.core.idlz.program import IdlzRun, run_idlz, run_idlz_files
-from repro.core.idlz.validate import (
-    Diagnostic,
-    ValidationReport,
-    check_problem,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Subdivision",
-    "SIDES",
-    "ShapingSegment",
-    "Shaper",
-    "LatticeGrid",
-    "create_elements",
-    "triangulate_strip",
-    "reform_elements",
-    "quality_report",
-    "Idealizer",
-    "Idealization",
-    "IdlzLimits",
-    "STRICT_1970",
-    "UNLIMITED",
-    "plot_mesh",
-    "plot_idealization",
-    "plot_subdivision",
-    "plot_all",
-    "print_listing",
-    "punch_cards",
-    "DEFAULT_NODAL_FORMAT",
-    "DEFAULT_ELEMENT_FORMAT",
-    "IdlzProblem",
-    "read_idlz_deck",
-    "write_idlz_deck",
-    "IdlzRun",
-    "run_idlz",
-    "run_idlz_files",
-    "Diagnostic",
-    "ValidationReport",
-    "check_problem",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.idlz.subdivision": ["Subdivision", "SIDES"],
+    "repro.core.idlz.shaping": ["ShapingSegment", "Shaper"],
+    "repro.core.idlz.grid": ["LatticeGrid"],
+    "repro.core.idlz.elements": ["create_elements", "triangulate_strip"],
+    "repro.core.idlz.reform": ["reform_elements", "quality_report"],
+    "repro.core.idlz.pipeline": ["Idealizer", "Idealization"],
+    "repro.core.idlz.limits": ["IdlzLimits", "STRICT_1970", "UNLIMITED"],
+    "repro.core.idlz.output": [
+        "plot_mesh", "plot_idealization", "plot_subdivision", "plot_all",
+        "print_listing", "punch_cards", "DEFAULT_NODAL_FORMAT",
+        "DEFAULT_ELEMENT_FORMAT",
+    ],
+    "repro.core.idlz.deck": ["IdlzProblem", "read_idlz_deck",
+                             "write_idlz_deck"],
+    "repro.core.idlz.program": ["IdlzRun", "run_idlz", "run_idlz_files"],
+    "repro.core.idlz.validate": ["Diagnostic", "ValidationReport",
+                                 "check_problem"],
+})

@@ -9,71 +9,24 @@ Public surface:
 * :mod:`repro.core.ospl.limits` -- the Table-1 restrictions
 """
 
-from repro.core.ospl.intervals import (
-    choose_interval,
-    contour_levels,
-    ladder_values,
-    BASES,
-    TARGET_FRACTION,
-)
-from repro.core.ospl.contour import (
-    ContourPoint,
-    ContourSegment,
-    ContourSet,
-    contour_mesh,
-    triangle_crossings,
-)
-from repro.core.ospl.boundary import (
-    boundary_segments,
-    boundary_chains,
-    boundary_edge_list,
-    BoundaryIndex,
-)
-from repro.core.ospl.labels import Label, format_level, place_labels
-from repro.core.ospl.plot import ContourPlot, conplt
-from repro.core.ospl.limits import OsplLimits, STRICT_1970, UNLIMITED
-from repro.core.ospl.deck import (
-    OsplProblem,
-    read_ospl_deck,
-    write_ospl_deck,
-    problem_from_analysis,
-)
-from repro.core.ospl.program import OsplRun, run_ospl, run_ospl_files
-from repro.core.ospl.series import plot_increments
-from repro.core.ospl.listing import print_field, print_fields, page_count
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "choose_interval",
-    "contour_levels",
-    "ladder_values",
-    "BASES",
-    "TARGET_FRACTION",
-    "ContourPoint",
-    "ContourSegment",
-    "ContourSet",
-    "contour_mesh",
-    "triangle_crossings",
-    "boundary_segments",
-    "boundary_chains",
-    "boundary_edge_list",
-    "BoundaryIndex",
-    "Label",
-    "format_level",
-    "place_labels",
-    "ContourPlot",
-    "conplt",
-    "OsplLimits",
-    "STRICT_1970",
-    "UNLIMITED",
-    "OsplProblem",
-    "read_ospl_deck",
-    "write_ospl_deck",
-    "problem_from_analysis",
-    "OsplRun",
-    "run_ospl",
-    "run_ospl_files",
-    "plot_increments",
-    "print_field",
-    "print_fields",
-    "page_count",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.ospl.intervals": ["choose_interval", "contour_levels",
+                                  "ladder_values", "BASES",
+                                  "TARGET_FRACTION"],
+    "repro.core.ospl.contour": ["ContourPoint", "ContourSegment",
+                                "ContourSet", "contour_mesh",
+                                "triangle_crossings"],
+    "repro.core.ospl.boundary": ["boundary_segments", "boundary_chains",
+                                 "boundary_edge_list", "BoundaryIndex"],
+    "repro.core.ospl.labels": ["Label", "format_level", "place_labels"],
+    "repro.core.ospl.plot": ["ContourPlot", "conplt"],
+    "repro.core.ospl.limits": ["OsplLimits", "STRICT_1970", "UNLIMITED"],
+    "repro.core.ospl.deck": ["OsplProblem", "read_ospl_deck",
+                             "write_ospl_deck", "problem_from_analysis"],
+    "repro.core.ospl.program": ["OsplRun", "run_ospl", "run_ospl_files"],
+    "repro.core.ospl.series": ["plot_increments"],
+    "repro.core.ospl.listing": ["print_field", "print_fields",
+                                "page_count"],
+})

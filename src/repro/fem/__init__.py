@@ -23,64 +23,29 @@ package implements that substrate from scratch:
   Cuthill-McKee renumbering (the paper's Reference 2 scheme)
 """
 
-from repro.fem.mesh import Mesh
-from repro.fem.materials import (
-    IsotropicElastic,
-    OrthotropicElastic,
-    ThermalMaterial,
-)
-from repro.fem.solve import StaticAnalysis, AnalysisType
-from repro.fem.bc import Constraints
-from repro.fem.loads import LoadCase
-from repro.fem.stress import StressField, recover_stresses, StressComponent
-from repro.fem.thermal import ThermalAnalysis, ThermalPulse
-from repro.fem.bandwidth import (
-    mesh_bandwidth,
-    reverse_cuthill_mckee,
-    renumber_mesh,
-)
-from repro.fem.results import NodalField
-from repro.fem.thermal_stress import ThermalStressAnalysis, thermal_load_case
-from repro.fem.skyline import SkylineMatrix, assemble_skyline
-from repro.fem.quality import MeshQuality, mesh_quality
-from repro.fem.postplot import plot_deformed, auto_scale
-from repro.fem.reactions import ReactionReport, compute_reactions, reactions_for
-from repro.fem.strain import StrainComponent, StrainField, recover_strains
-from repro.fem.dynamics import ModalResult, modal_analysis, mass_density
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Mesh",
-    "IsotropicElastic",
-    "OrthotropicElastic",
-    "ThermalMaterial",
-    "StaticAnalysis",
-    "AnalysisType",
-    "Constraints",
-    "LoadCase",
-    "StressField",
-    "StressComponent",
-    "recover_stresses",
-    "ThermalAnalysis",
-    "ThermalPulse",
-    "mesh_bandwidth",
-    "reverse_cuthill_mckee",
-    "renumber_mesh",
-    "NodalField",
-    "ThermalStressAnalysis",
-    "thermal_load_case",
-    "SkylineMatrix",
-    "assemble_skyline",
-    "MeshQuality",
-    "mesh_quality",
-    "plot_deformed",
-    "auto_scale",
-    "ReactionReport",
-    "compute_reactions",
-    "reactions_for",
-    "StrainComponent",
-    "StrainField",
-    "recover_strains",
-    "ModalResult",
-    "modal_analysis",
-    "mass_density",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fem.mesh": ["Mesh"],
+    "repro.fem.materials": ["IsotropicElastic", "OrthotropicElastic",
+                            "ThermalMaterial", "AnalysisType"],
+    "repro.fem.solve": ["StaticAnalysis"],
+    "repro.fem.bc": ["Constraints"],
+    "repro.fem.loads": ["LoadCase"],
+    "repro.fem.stress": ["StressField", "StressComponent",
+                         "recover_stresses"],
+    "repro.fem.thermal": ["ThermalAnalysis", "ThermalPulse"],
+    "repro.fem.bandwidth": ["mesh_bandwidth", "reverse_cuthill_mckee",
+                            "renumber_mesh"],
+    "repro.fem.results": ["NodalField"],
+    "repro.fem.thermal_stress": ["ThermalStressAnalysis",
+                                 "thermal_load_case"],
+    "repro.fem.skyline": ["SkylineMatrix", "assemble_skyline"],
+    "repro.fem.quality": ["MeshQuality", "mesh_quality"],
+    "repro.fem.postplot": ["plot_deformed", "auto_scale"],
+    "repro.fem.reactions": ["ReactionReport", "compute_reactions",
+                            "reactions_for"],
+    "repro.fem.strain": ["StrainComponent", "StrainField",
+                         "recover_strains"],
+    "repro.fem.dynamics": ["ModalResult", "modal_analysis", "mass_density"],
+})

@@ -16,15 +16,28 @@ Constitutive matrices are returned in engineering (Voigt) form:
   stress = [sig_x, sig_y, tau_xy]  (3 x 3 D);
 * axisymmetric: strain = [eps_r, eps_z, gamma_rz, eps_theta],
   stress = [sig_r, sig_z, tau_rz, sig_theta]  (4 x 4 D).
+
+:class:`AnalysisType` names which of those forms a problem uses; its
+values are the analysis-type strings :meth:`IsotropicElastic.thermal_strain`
+and the assembly accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from repro.errors import MaterialError
+
+
+class AnalysisType(Enum):
+    """The three analysis families the IDLZ/OSPL pair served."""
+
+    PLANE_STRESS = "plane_stress"
+    PLANE_STRAIN = "plane_strain"
+    AXISYMMETRIC = "axisymmetric"
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ and the analyze pipeline's assemble / solve stages both call them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Mapping, Tuple, Union
 
 import numpy as np
@@ -33,6 +32,10 @@ from repro.fem.assembly import assemble_banded, assemble_sparse
 from repro.fem.banded import BandedSymmetricMatrix
 from repro.fem.bc import Constraints
 from repro.fem.loads import LoadCase
+# AnalysisType lives in the scipy-free materials module so that the
+# structure library can name it without loading scipy; callers that
+# import it from here get the same class.
+from repro.fem.materials import AnalysisType
 from repro.fem.mesh import Mesh
 from repro.fem.skyline import SkylineMatrix, assemble_skyline
 from repro.fem.stress import StressField, recover_stresses
@@ -41,14 +44,6 @@ from repro.obs.health import solver_health
 
 #: Global stiffness in one of the three solver storages.
 StaticMatrix = Union[BandedSymmetricMatrix, SkylineMatrix, sp.csr_matrix]
-
-
-class AnalysisType(Enum):
-    """The three analysis families the IDLZ/OSPL pair served."""
-
-    PLANE_STRESS = "plane_stress"
-    PLANE_STRAIN = "plane_strain"
-    AXISYMMETRIC = "axisymmetric"
 
 
 @dataclass

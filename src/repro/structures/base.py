@@ -17,7 +17,7 @@ from repro.core.idlz.pipeline import Idealization, Idealizer
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
 from repro.errors import IdealizationError
-from repro.fem.solve import AnalysisType
+from repro.fem.materials import AnalysisType
 
 LatticePath = Sequence[Tuple[int, int]]
 

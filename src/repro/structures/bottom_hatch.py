@@ -22,8 +22,7 @@ from typing import List
 
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.fem.materials import STEEL
-from repro.fem.solve import AnalysisType
+from repro.fem.materials import AnalysisType, STEEL
 from repro.structures.base import (
     StructureCase,
     horizontal_path,

@@ -23,8 +23,7 @@ from typing import List
 
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.fem.materials import GLASS, STEEL, TITANIUM
-from repro.fem.solve import AnalysisType
+from repro.fem.materials import AnalysisType, GLASS, STEEL, TITANIUM
 from repro.structures.base import StructureCase, horizontal_path
 
 #: Window faces: inner (small, pressure side) and outer.

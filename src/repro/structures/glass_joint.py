@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.fem.materials import GLASS, STEEL
-from repro.fem.solve import AnalysisType
+from repro.fem.materials import AnalysisType, GLASS, STEEL
 from repro.structures.base import (
     StructureCase,
     horizontal_path,

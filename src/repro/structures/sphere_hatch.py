@@ -19,8 +19,7 @@ from typing import List
 
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.fem.materials import GLASS, TITANIUM
-from repro.fem.solve import AnalysisType
+from repro.fem.materials import AnalysisType, GLASS, TITANIUM
 from repro.structures.base import (
     StructureCase,
     horizontal_path,

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.fem.materials import STEEL, STEEL_THERMAL
-from repro.fem.solve import AnalysisType
+from repro.fem.materials import AnalysisType, STEEL, STEEL_THERMAL
 from repro.structures.base import (
     StructureCase,
     horizontal_path,
