@@ -106,12 +106,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro._version import __version__
-from repro.core.idlz import limits as idlz_limits
-from repro.core.idlz.program import run_idlz_files
-from repro.core.ospl import limits as ospl_limits
-from repro.core.ospl.program import run_ospl_files
 from repro.errors import ReproError
-from repro.plotter.ascii_art import render_ascii
 
 _LOG_HANDLER_NAME = "repro-cli"
 
@@ -574,6 +569,9 @@ def _stage_cache(args: argparse.Namespace):
 
 
 def _run_idlz(args: argparse.Namespace) -> int:
+    from repro.core.idlz import limits as idlz_limits
+    from repro.core.idlz.program import run_idlz_files
+
     limits = (idlz_limits.STRICT_1970 if args.strict
               else idlz_limits.UNLIMITED)
     if args.check:
@@ -608,6 +606,10 @@ def _run_idlz(args: argparse.Namespace) -> int:
 
 
 def _run_ospl(args: argparse.Namespace) -> int:
+    from repro.core.ospl import limits as ospl_limits
+    from repro.core.ospl.program import run_ospl_files
+    from repro.plotter.ascii_art import render_ascii
+
     limits = (ospl_limits.STRICT_1970 if args.strict
               else ospl_limits.UNLIMITED)
     run = run_ospl_files(args.deck, args.out, limits=limits,
@@ -624,6 +626,8 @@ def _run_ospl(args: argparse.Namespace) -> int:
 
 def _run_analyze(args: argparse.Namespace) -> int:
     from repro.analyze.program import run_analyze_files
+    from repro.core.idlz import limits as idlz_limits
+    from repro.core.ospl import limits as ospl_limits
 
     limits = (idlz_limits.STRICT_1970 if args.strict
               else idlz_limits.UNLIMITED)

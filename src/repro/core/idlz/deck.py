@@ -39,13 +39,14 @@ from repro.cards.parse import (
 from repro.cards.reader import CardReader
 from repro.cards.writer import CardWriter
 from repro.core.idlz.limits import IdlzLimits, UNLIMITED
-from repro.core.idlz.output import (
-    DEFAULT_ELEMENT_FORMAT,
-    DEFAULT_NODAL_FORMAT,
-)
 from repro.core.idlz.pipeline import Idealization, Idealizer
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
+
+#: The FORMATs "compatible with the finite element analysis program of
+#: reference 1" quoted in Appendix B.
+DEFAULT_NODAL_FORMAT = "(2F9.5, 51X, I3, 5X, I3)"
+DEFAULT_ELEMENT_FORMAT = "(3I5, 62X, I3)"
 
 
 @dataclass

@@ -11,19 +11,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.cards.fortran_format import FortranFormat
 from repro.cards.writer import CardWriter
+from repro.core.idlz.deck import DEFAULT_ELEMENT_FORMAT, DEFAULT_NODAL_FORMAT
 from repro.core.idlz.pipeline import Idealization
 from repro.core.idlz.subdivision import Subdivision
 from repro.fem.mesh import Mesh
 from repro.plotter.device import CoordinateMap, Frame, Plotter4020
-
-#: The FORMATs "compatible with the finite element analysis program of
-#: reference 1" quoted in Appendix B.
-DEFAULT_NODAL_FORMAT = "(2F9.5, 51X, I3, 5X, I3)"
-DEFAULT_ELEMENT_FORMAT = "(3I5, 62X, I3)"
 
 
 # ----------------------------------------------------------------------

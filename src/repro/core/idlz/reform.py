@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.errors import MeshError
 from repro.fem.mesh import Mesh
+from repro.fem.quality import triangle_min_angles
 
 #: A swap must improve the pair's minimum angle by at least this much
 #: (radians) to be adopted, preventing flip cycles on symmetric meshes.
@@ -57,28 +58,6 @@ def reform_elements(mesh: Mesh, max_passes: int = 20) -> int:
         if swapped == 0:
             break
     return total
-
-
-def _tri_min_angles(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row smallest interior angle of triangles (a, b, c).
-
-    Mirrors :func:`repro.geometry.polygon.triangle_angles`: side lengths,
-    two law-of-cosines angles clamped into [-1, 1], the third by angle
-    sum clamped at zero.  Returns (min_angle, valid); rows with a
-    coincident vertex pair are invalid (the scalar code raises there).
-    """
-    la = np.hypot(pc[:, 0] - pb[:, 0], pc[:, 1] - pb[:, 1])
-    lb = np.hypot(pa[:, 0] - pc[:, 0], pa[:, 1] - pc[:, 1])
-    lc = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    valid = (la != 0.0) & (lb != 0.0) & (lc != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_a = (lb * lb + lc * lc - la * la) / (2.0 * lb * lc)
-        cos_b = (lc * lc + la * la - lb * lb) / (2.0 * lc * la)
-        alpha = np.arccos(np.clip(cos_a, -1.0, 1.0))
-        beta = np.arccos(np.clip(cos_b, -1.0, 1.0))
-    gamma = np.maximum(math.pi - alpha - beta, 0.0)
-    return np.minimum(np.minimum(alpha, beta), gamma), valid
 
 
 def _convex_quads(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray,
@@ -165,11 +144,11 @@ def _pass_candidates(mesh: Mesh) -> Tuple[np.ndarray, ...]:
     # The quad in cyclic order is a-c-b-d (c and d on opposite sides of
     # edge ab); the swap replaces diagonal ab with cd.
     ok &= _convex_quads(pa, pc, pb, pd)
-    ang1, valid1 = _tri_min_angles(pa, pb, pc)
-    ang2, valid2 = _tri_min_angles(pa, pb, pd)
-    ang3, valid3 = _tri_min_angles(pc, pd, pa)
-    ang4, valid4 = _tri_min_angles(pc, pd, pb)
-    ok &= valid1 & valid2 & valid3 & valid4
+    ang1, bad1 = triangle_min_angles(pa, pb, pc)
+    ang2, bad2 = triangle_min_angles(pa, pb, pd)
+    ang3, bad3 = triangle_min_angles(pc, pd, pa)
+    ang4, bad4 = triangle_min_angles(pc, pd, pb)
+    ok &= ~(bad1 | bad2 | bad3 | bad4)
     current = np.minimum(ang1, ang2)
     proposed = np.minimum(ang3, ang4)
     with np.errstate(invalid="ignore"):

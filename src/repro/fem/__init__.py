@@ -41,7 +41,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.fem.thermal_stress": ["ThermalStressAnalysis",
                                  "thermal_load_case"],
     "repro.fem.skyline": ["SkylineMatrix", "assemble_skyline"],
-    "repro.fem.quality": ["MeshQuality", "mesh_quality"],
+    "repro.fem.quality": ["MeshQuality", "mesh_quality",
+                          "triangle_measures"],
     "repro.fem.postplot": ["plot_deformed", "auto_scale"],
     "repro.fem.reactions": ["ReactionReport", "compute_reactions",
                             "reactions_for"],

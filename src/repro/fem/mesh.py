@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import GeometryError, MeshError
+from repro.fem.quality import triangle_min_angles
 from repro.geometry.primitives import BoundingBox, Point
 
 #: OSPL boundary-flag values.
@@ -92,6 +93,11 @@ class Mesh:
         i, j, k = self.elements[e]
         return (self.node_point(i), self.node_point(j), self.node_point(k))
 
+    def element_corners(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(e, 2)`` corner arrays (a, b, c) of every element."""
+        p = self.nodes[self.elements]
+        return p[:, 0], p[:, 1], p[:, 2]
+
     def bounding_box(self) -> BoundingBox:
         return BoundingBox(
             float(self.nodes[:, 0].min()), float(self.nodes[:, 1].min()),
@@ -134,43 +140,40 @@ class Mesh:
     def min_angles_per_element(self) -> np.ndarray:
         """Smallest interior angle (radians) of every element at once.
 
-        The law-of-cosines arithmetic of
-        :func:`repro.geometry.polygon.triangle_angles`, batched; a
-        degenerate element (coincident vertices) raises exactly as the
-        per-triangle function does.
+        A reduction of :func:`repro.fem.quality.triangle_min_angles`; a
+        degenerate element (coincident vertices) raises exactly as
+        :func:`repro.geometry.polygon.triangle_angles` does.
         """
-        if self.n_elements == 0:
-            return np.zeros(0)
-        p = self.nodes[self.elements]
-        la = np.hypot(p[:, 2, 0] - p[:, 1, 0], p[:, 2, 1] - p[:, 1, 1])
-        lb = np.hypot(p[:, 0, 0] - p[:, 2, 0], p[:, 0, 1] - p[:, 2, 1])
-        lc = np.hypot(p[:, 1, 0] - p[:, 0, 0], p[:, 1, 1] - p[:, 0, 1])
-        if not ((la != 0.0) & (lb != 0.0) & (lc != 0.0)).all():
+        angles, coincident = triangle_min_angles(*self.element_corners())
+        if coincident.any():
             raise GeometryError("triangle has coincident vertices")
-        alpha = np.arccos(np.clip(
-            (lb * lb + lc * lc - la * la) / (2.0 * lb * lc), -1.0, 1.0))
-        beta = np.arccos(np.clip(
-            (lc * lc + la * la - lb * lb) / (2.0 * lc * la), -1.0, 1.0))
-        gamma = np.maximum(np.pi - alpha - beta, 0.0)
-        return np.minimum(np.minimum(alpha, beta), gamma)
+        return angles
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def _edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed edges in element order plus per-edge share counts.
+    def _edge_keys(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Directed edges in flat (element, slot) order plus their keys.
 
-        Returns ``(edge_a, edge_b, n_sharing)`` over the ``3e`` directed
-        element edges in flat (element, slot) order; ``n_sharing`` is how
-        many elements contain each edge's undirected key.
+        Returns ``(edge_a, edge_b, keys)`` over the ``3e`` directed
+        element edges; ``keys`` encodes each undirected edge as
+        ``min * n_nodes + max``.
         """
-        e = self.elements
-        edge_a = np.stack((e[:, 0], e[:, 1], e[:, 2]), axis=1).ravel()
-        edge_b = np.stack((e[:, 1], e[:, 2], e[:, 0]), axis=1).ravel()
+        edge_a = self.elements.ravel()
+        edge_b = self.elements[:, [1, 2, 0]].ravel()
         keys = (
             np.minimum(edge_a, edge_b).astype(np.int64) * self.n_nodes
             + np.maximum(edge_a, edge_b)
         )
+        return edge_a, edge_b, keys
+
+    def _edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Directed edges in element order plus per-edge share counts.
+
+        Returns ``(edge_a, edge_b, n_sharing)``; ``n_sharing`` is how
+        many elements contain each edge's undirected key.
+        """
+        edge_a, edge_b, keys = self._edge_keys()
         _, inverse, counts = np.unique(
             keys, return_inverse=True, return_counts=True
         )
@@ -192,23 +195,26 @@ class Mesh:
         sel = n_sharing == 1
         return list(zip(edge_a[sel].tolist(), edge_b[sel].tolist()))
 
+    def _per_node(self, owner: np.ndarray, items: np.ndarray
+                  ) -> List[List[int]]:
+        """``items`` grouped by ``owner`` node, stable within a node."""
+        order = np.argsort(owner, kind="stable")
+        ends = np.cumsum(np.bincount(owner, minlength=self.n_nodes)).tolist()
+        flat = items[order].tolist()
+        return [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+
     def node_elements(self) -> List[List[int]]:
         """For each node, the list of elements containing it."""
-        incident: List[List[int]] = [[] for _ in range(self.n_nodes)]
-        for e, tri in enumerate(self.elements):
-            for n in tri:
-                incident[int(n)].append(e)
-        return incident
+        flat = self.elements.ravel()
+        return self._per_node(flat, np.arange(flat.size) // 3)
 
     def node_adjacency(self) -> List[Set[int]]:
         """Node-to-node adjacency through element edges."""
-        adj: List[Set[int]] = [set() for _ in range(self.n_nodes)]
-        for tri in self.elements:
-            a, b, c = (int(v) for v in tri)
-            adj[a].update((b, c))
-            adj[b].update((a, c))
-            adj[c].update((a, b))
-        return adj
+        keys = np.unique(self._edge_keys()[2])
+        lo, hi = np.divmod(keys, self.n_nodes)
+        both = self._per_node(np.concatenate((lo, hi)),
+                              np.concatenate((hi, lo)))
+        return [set(neighbours) for neighbours in both]
 
     def compute_boundary_flags(self) -> np.ndarray:
         """Derive the OSPL flags (0/1/2) from the connectivity."""

@@ -26,7 +26,6 @@ FEM quality measures are imported inside the builder functions only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -98,41 +97,13 @@ def mesh_health(mesh: Any, needle_aspect: float = NEEDLE_ASPECT,
     """
     import numpy as np
 
-    # Batched forms of repro.fem.quality.aspect_ratio and
-    # _triangle_min_angle_deg below: zero-area elements are the
-    # degenerate ones aspect_ratio raises on; zero-length sides are the
-    # degenerate corners the angle helper reports as 0 degrees.
-    p = np.asarray(mesh.nodes)[np.asarray(mesh.elements)]
-    if len(p) == 0:
-        values = {
-            "n_elements": 0, "degenerate_count": 0, "needle_count": 0,
-        }
-        values.update(extra)
-        return HealthSnapshot(kind="mesh", values=values)
-    l1 = np.hypot(p[:, 2, 0] - p[:, 1, 0], p[:, 2, 1] - p[:, 1, 1])
-    l2 = np.hypot(p[:, 0, 0] - p[:, 2, 0], p[:, 0, 1] - p[:, 2, 1])
-    l3 = np.hypot(p[:, 1, 0] - p[:, 0, 0], p[:, 1, 1] - p[:, 0, 1])
-    area = 0.5 * np.abs(
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-    good = area != 0.0
-    degenerate = int((~good).sum())
-    s = 0.5 * (l1 + l2 + l3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inradius = area / s
-        aspects = (
-            np.maximum(np.maximum(l1, l2), l3)
-            / (2.0 * math.sqrt(3.0) * inradius)
-        )[good]
-        sides_ok = good & (l1 != 0.0) & (l2 != 0.0) & (l3 != 0.0)
-        cos_a = (l2 * l2 + l3 * l3 - l1 * l1) / (2.0 * l2 * l3)
-        cos_b = (l3 * l3 + l1 * l1 - l2 * l2) / (2.0 * l3 * l1)
-    alpha = np.arccos(np.clip(cos_a, -1.0, 1.0))
-    beta = np.arccos(np.clip(cos_b, -1.0, 1.0))
-    gamma = np.maximum(math.pi - alpha - beta, 0.0)
-    min_angles = np.degrees(np.minimum(np.minimum(alpha, beta), gamma))
-    min_angles = np.where(sides_ok, min_angles, 0.0)[good]
+    from repro.fem.quality import triangle_measures
+
+    m = triangle_measures(*mesh.element_corners())
+    good = ~m.flat
+    degenerate = int(m.flat.sum())
+    aspects = m.aspect[good]
+    min_angles = np.degrees(m.min_angle[good])
     needles = degenerate + int((aspects > needle_aspect).sum())
     values: Dict[str, Any] = {
         "n_elements": int(mesh.n_elements),
@@ -149,22 +120,6 @@ def mesh_health(mesh: Any, needle_aspect: float = NEEDLE_ASPECT,
         })
     values.update(extra)
     return HealthSnapshot(kind="mesh", values=values)
-
-
-def _triangle_min_angle_deg(a, b, c) -> float:
-    """Smallest interior angle in degrees (0.0 for a degenerate corner)."""
-    angles = []
-    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
-        v1 = (q[0] - p[0], q[1] - p[1])
-        v2 = (r[0] - p[0], r[1] - p[1])
-        n1 = math.hypot(*v1)
-        n2 = math.hypot(*v2)
-        if n1 == 0.0 or n2 == 0.0:
-            return 0.0
-        cosine = max(-1.0, min(1.0, (v1[0] * v2[0] + v1[1] * v2[1])
-                               / (n1 * n2)))
-        angles.append(math.degrees(math.acos(cosine)))
-    return min(angles)
 
 
 def solver_health(*, residual_rel: Optional[float] = None,

@@ -43,7 +43,6 @@ from repro import obs
 from repro.core.idlz.elements import create_elements
 from repro.core.idlz.grid import LatticeGrid
 from repro.core.idlz.limits import IdlzLimits, UNLIMITED
-from repro.core.idlz.output import plot_all, print_listing, punch_cards
 from repro.core.idlz.reform import reform_elements
 from repro.core.idlz.shaping import Shaper, ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
@@ -216,6 +215,10 @@ def renumber_stage(ctx: Context) -> Dict[str, Any]:
                                "nopnch": ctx["nopnch"]})
 def output_stage(ctx: Context) -> Dict[str, Any]:
     """Produce the listing, the NOPLOT frames and the NOPNCH cards."""
+    # Imported here so the lint analyzer's number -> elements slice
+    # never loads the plotter.
+    from repro.core.idlz.output import plot_all, print_listing, punch_cards
+
     ideal = assemble_idealization(ctx)
     listing = print_listing(ideal)
     frames = plot_all(ideal) if ctx["noplot"] else []

@@ -1,12 +1,13 @@
 """Scalar reference implementations of the vectorized IDLZ/OSPL kernels.
 
-The production kernels in ``repro.core`` are batched numpy rewrites of
-the per-node / per-element loops the original 1970 listings describe.
+The production kernels in ``repro.core`` and ``repro.fem`` are batched
+numpy rewrites of the per-node / per-element loops the original 1970
+listings describe.
 This module keeps those loops alive, written in the most literal scalar
 form, so the cross-check suite (``test_kernel_crosscheck.py``) can
 assert on *randomized* inputs -- not just the fixed golden corpus --
 that the batched kernels compute bit-for-bit the same meshes, shapes,
-swaps and contour segments.
+swaps, element quality, node adjacency and contour segments.
 
 Everything here trades speed for obviousness: Python loops, dicts and
 tuples only, numpy used purely as a container.  Do not import these
@@ -23,6 +24,7 @@ import numpy as np
 from repro.core.idlz.grid import LatticeGrid
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import LatticePoint, Subdivision
+from repro.errors import MeshError
 from repro.fem.mesh import Mesh
 from repro.geometry.interpolate import place_along_path
 from repro.geometry.primitives import Point
@@ -353,6 +355,71 @@ def scalar_reform(mesh: Mesh, max_passes: int = 20) -> int:
         if swapped == 0:
             break
     return total
+
+
+# ----------------------------------------------------------------------
+# Triangle quality (aspect ratio and shape index)
+# ----------------------------------------------------------------------
+
+def _sides(a, b, c) -> Tuple[float, float, float]:
+    return (
+        math.hypot(c[0] - b[0], c[1] - b[1]),
+        math.hypot(a[0] - c[0], a[1] - c[1]),
+        math.hypot(b[0] - a[0], b[1] - a[1]),
+    )
+
+
+def _area(a, b, c) -> float:
+    return 0.5 * abs(
+        (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+    )
+
+
+def aspect_ratio(a, b, c) -> float:
+    """Longest side over the equilateral-normalised inradius diameter.
+
+    Degenerate (zero-area) triangles raise :class:`MeshError`.
+    """
+    l1, l2, l3 = _sides(a, b, c)
+    area = _area(a, b, c)
+    if area == 0.0:
+        raise MeshError("aspect ratio of a degenerate triangle")
+    s = 0.5 * (l1 + l2 + l3)
+    inradius = area / s
+    return max(l1, l2, l3) / (2.0 * math.sqrt(3.0) * inradius)
+
+
+def shape_quality(a, b, c) -> float:
+    """Normalised shape index in (0, 1]; point triangles raise."""
+    l1, l2, l3 = _sides(a, b, c)
+    denom = l1 * l1 + l2 * l2 + l3 * l3
+    if denom == 0.0:
+        raise MeshError("shape quality of a point triangle")
+    return 4.0 * math.sqrt(3.0) * _area(a, b, c) / denom
+
+
+# ----------------------------------------------------------------------
+# Node adjacency and incidence
+# ----------------------------------------------------------------------
+
+def scalar_node_elements(mesh: Mesh) -> List[List[int]]:
+    """For each node, the elements containing it, by an element loop."""
+    incident: List[List[int]] = [[] for _ in range(mesh.n_nodes)]
+    for e, tri in enumerate(mesh.elements):
+        for n in tri:
+            incident[int(n)].append(e)
+    return incident
+
+
+def scalar_node_adjacency(mesh: Mesh) -> List[set]:
+    """Node-to-node adjacency through element edges, by an element loop."""
+    adj: List[set] = [set() for _ in range(mesh.n_nodes)]
+    for tri in mesh.elements:
+        a, b, c = (int(v) for v in tri)
+        adj[a].update((b, c))
+        adj[b].update((a, c))
+        adj[c].update((a, b))
+    return adj
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,37 @@
-"""Unit tests for the mesh quality measures."""
+"""Unit tests for the triangle-measure kernel and the mesh quality report."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.errors import MeshError
+from repro.errors import GeometryError, MeshError
 from repro.fem.mesh import Mesh
-from repro.fem.quality import (
-    aspect_ratio,
-    mesh_quality,
-    quality_histogram,
-    shape_quality,
-)
+from repro.fem.quality import mesh_quality, triangle_measures
 from repro.geometry.primitives import Point
 
 EQUILATERAL = (Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2))
 RIGHT = (Point(0, 0), Point(1, 0), Point(0, 1))
 NEEDLE = (Point(0, 0), Point(10, 0), Point(5, 0.05))
 DEGENERATE = (Point(0, 0), Point(1, 0), Point(2, 0))
+
+
+def measures(a, b, c):
+    """The kernel on one triangle."""
+    return triangle_measures(*(np.array([p], dtype=float) for p in (a, b, c)))
+
+
+def aspect_ratio(a, b, c) -> float:
+    return float(measures(a, b, c).aspect[0])
+
+
+def shape_quality(a, b, c) -> float:
+    return float(measures(a, b, c).shape[0])
+
+
+def one_triangle_mesh(a, b, c) -> Mesh:
+    return Mesh(nodes=np.array([a, b, c], dtype=float),
+                elements=np.array([[0, 1, 2]]))
 
 
 class TestAspectRatio:
@@ -39,8 +52,11 @@ class TestAspectRatio:
         assert aspect_ratio(*scaled) == pytest.approx(aspect_ratio(*RIGHT))
 
     def test_degenerate_rejected(self):
-        with pytest.raises(MeshError):
-            aspect_ratio(*DEGENERATE)
+        m = measures(*DEGENERATE)
+        assert m.flat[0] and not m.coincident[0]
+        assert math.isinf(m.aspect[0])
+        with pytest.raises(MeshError, match="degenerate triangle"):
+            mesh_quality(one_triangle_mesh(*DEGENERATE))
 
 
 class TestShapeQuality:
@@ -62,8 +78,11 @@ class TestShapeQuality:
 
     def test_point_triangle_rejected(self):
         p = Point(1, 1)
-        with pytest.raises(MeshError):
-            shape_quality(p, p, p)
+        m = measures(p, p, p)
+        assert m.flat[0] and m.coincident[0]
+        assert math.isnan(m.shape[0])
+        with pytest.raises(GeometryError, match="coincident vertices"):
+            mesh_quality(one_triangle_mesh(p, p, p))
 
 
 class TestMeshQuality:
@@ -100,14 +119,3 @@ class TestMeshQuality:
             q = mesh_quality(built.mesh)
             assert q.worst_shape > 0.05, name
 
-
-class TestHistogram:
-    def test_bins_sum_to_element_count(self, built_structures):
-        mesh = built_structures["glass_joint"].mesh
-        hist = quality_histogram(mesh)
-        assert sum(hist.values()) == mesh.n_elements
-
-    def test_square_mesh_in_middle_bin(self, unit_square_mesh):
-        hist = quality_histogram(unit_square_mesh)
-        # Right isoceles triangles have shape quality ~0.87.
-        assert hist["0.8-1.0"] == 2

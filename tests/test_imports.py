@@ -99,6 +99,32 @@ def test_deck_programs_never_load_scipy(tmp_path):
     assert result == {"codes": [0, 0, 0, 0], "scipy": False}
 
 
+#: Modules only the ``idlz``/``ospl``/``analyze`` runners need.
+_RUNNER_MODULES = ("repro.core.idlz.program", "repro.core.ospl.program",
+                   "repro.plotter")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["lint", str(DECKS / "plate.deck")],
+    ["plan", str(DECKS / "plate.deck")],
+], ids=["version", "lint", "plan"])
+def test_non_running_programs_skip_the_runners(argv):
+    result = _run_python(f"""
+        import contextlib, io, json, sys
+        from repro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main({argv!r})
+            except SystemExit as exc:
+                code = exc.code
+        print(json.dumps({{"code": code, "loaded": sorted(
+            m for m in sys.modules
+            if m.startswith({_RUNNER_MODULES!r}))}}))
+    """)
+    assert result == {"code": 0, "loaded": []}
+
+
 def test_analyze_loads_scipy(tmp_path):
     argvs = [["analyze", "run", str(DECKS / "analyze" / "plate.analyze.deck"),
               "-o", str(tmp_path / "ana")]]

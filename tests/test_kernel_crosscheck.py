@@ -8,6 +8,7 @@ reimplementations of the per-node/per-element loops kept alive in
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +18,19 @@ from repro.core.idlz.reform import reform_elements
 from repro.core.idlz.shaping import Shaper
 from repro.core.ospl.contour import ContourSet
 from repro.core.ospl.intervals import classify_levels, contour_levels
+from repro.errors import MeshError
+from repro.fem.bandwidth import reverse_cuthill_mckee
 from repro.fem.mesh import Mesh
+from repro.fem.quality import triangle_measures, triangle_min_angles
 from repro.fem.results import NodalField
 
 from tests.deckgen import any_assemblage, chain_assemblages
+from tests import scalar_reference
 from tests.scalar_reference import (
     scalar_create_elements,
     scalar_extract_contours,
+    scalar_node_adjacency,
+    scalar_node_elements,
     scalar_number_lattice,
     scalar_reform,
     scalar_shape,
@@ -131,6 +138,118 @@ class TestReformCrossCheck:
         swaps_ref = scalar_reform(mesh_ref)
         assert swaps_vec == swaps_ref
         assert np.array_equal(mesh_vec.elements, mesh_ref.elements)
+
+
+# ----------------------------------------------------------------------
+# Triangle quality kernel
+# ----------------------------------------------------------------------
+
+#: Rows the scalar code treats specially: a needle, a collinear
+#: (zero-area) triangle, a coincident vertex pair and a point triangle.
+SPECIAL_ROWS = np.array([
+    [[0.0, 0.0], [10.0, 0.0], [5.0, 0.05]],
+    [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+    [[1.0, 1.0], [1.0, 1.0], [2.0, 3.0]],
+    [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+    [[0.0, 0.0], [1e-9, 0.0], [1.0, 1e-12]],
+])
+
+
+def _scalar_or_none(fn, *corners):
+    try:
+        return fn(*corners)
+    except MeshError:
+        return None
+
+
+def _check_quality_kernel(p):
+    """Every row of the ``(N, 3, 2)`` corners against the scalar code."""
+    m = triangle_measures(p[:, 0], p[:, 1], p[:, 2])
+    angle, coincident = triangle_min_angles(p[:, 0], p[:, 1], p[:, 2])
+    assert np.array_equal(angle, m.min_angle, equal_nan=True)
+    assert np.array_equal(coincident, m.coincident)
+    for i, (a, b, c) in enumerate(p.tolist()):
+        ref_angle = scalar_reference._min_angle(a, b, c)
+        assert m.coincident[i] == (ref_angle is None)
+        if ref_angle is not None:
+            assert m.min_angle[i] == ref_angle
+        ref_aspect = _scalar_or_none(scalar_reference.aspect_ratio, a, b, c)
+        assert m.flat[i] == (ref_aspect is None)
+        if ref_aspect is not None:
+            np.testing.assert_array_max_ulp(m.aspect[i], ref_aspect, 4)
+        ref_shape = _scalar_or_none(scalar_reference.shape_quality, a, b, c)
+        if ref_shape is None:
+            assert np.isnan(m.shape[i])
+        else:
+            np.testing.assert_array_max_ulp(m.shape[i], ref_shape, 4)
+
+
+class TestQualityCrossCheck:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_rows_match_scalar_measures(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-5.0, 5.0, size=(400, 3, 2))
+        # Thin slivers: the third corner pulled onto the first side.
+        rows[::7, 2] = (rows[::7, 0] + rows[::7, 1]) / 2.0 \
+            + rng.uniform(-1e-6, 1e-6, size=(len(rows[::7]), 2))
+        _check_quality_kernel(np.concatenate((rows, SPECIAL_ROWS)))
+
+    @given(chain_assemblages())
+    @settings(max_examples=20, deadline=None)
+    def test_built_meshes_match_scalar_measures(self, assemblage):
+        mesh = _build_mesh(*assemblage)
+        _check_quality_kernel(mesh.nodes[mesh.elements])
+        reform_elements(mesh)
+        _check_quality_kernel(mesh.nodes[mesh.elements])
+
+
+# ----------------------------------------------------------------------
+# Node adjacency, incidence and RCM
+# ----------------------------------------------------------------------
+
+def _lattice(rng, nx, ny, offset=0):
+    """A triangulated nx-by-ny cell lattice with random diagonals."""
+    node = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1) + offset
+    a, b = node[:-1, :-1].ravel(), node[:-1, 1:].ravel()
+    c, d = node[1:, 1:].ravel(), node[1:, :-1].ravel()
+    flip = rng.random(len(a)) < 0.5
+    first = np.where(flip[:, None], np.stack((a, b, d), 1),
+                     np.stack((a, b, c), 1))
+    second = np.where(flip[:, None], np.stack((b, c, d), 1),
+                      np.stack((a, c, d), 1))
+    xs, ys = np.meshgrid(np.arange(nx + 1.0), np.arange(ny + 1.0))
+    return (np.stack((xs.ravel(), ys.ravel()), 1),
+            np.concatenate((first, second)))
+
+
+def _seeded_mesh(seed, kind):
+    """A randomly numbered lattice mesh; ``kind`` adds the RCM edge cases."""
+    rng = np.random.default_rng(seed)
+    nodes, elements = _lattice(rng, *rng.integers(1, 9, size=2))
+    if kind == "disconnected":
+        more_nodes, more = _lattice(rng, *rng.integers(1, 6, size=2),
+                                    offset=len(nodes))
+        nodes = np.concatenate((nodes, more_nodes + 20.0))
+        elements = np.concatenate((elements, more))
+    elif kind == "isolated":
+        nodes = np.concatenate((nodes, [[-5.0, -5.0]]))
+    perm = rng.permutation(len(nodes))
+    inverse = np.argsort(perm)
+    return Mesh(nodes=nodes[inverse], elements=perm[elements])
+
+
+class TestAdjacencyCrossCheck:
+    @pytest.mark.parametrize("kind", ["connected", "disconnected",
+                                      "isolated"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adjacency_and_rcm_match_element_loop(self, seed, kind,
+                                                  monkeypatch):
+        mesh = _seeded_mesh(seed, kind)
+        assert mesh.node_adjacency() == scalar_node_adjacency(mesh)
+        assert mesh.node_elements() == scalar_node_elements(mesh)
+        perm = reverse_cuthill_mckee(mesh)
+        monkeypatch.setattr(Mesh, "node_adjacency", scalar_node_adjacency)
+        assert perm == reverse_cuthill_mckee(mesh)
 
 
 # ----------------------------------------------------------------------

@@ -99,6 +99,12 @@ class TestMeshHealth:
         assert values["needle_count"] == 1  # degenerates count as needles
         assert values["n_elements"] == 2
 
+    def test_empty_mesh_reports_counts_only(self):
+        mesh = Mesh(nodes=np.zeros((3, 2)), elements=np.zeros((0, 3), int))
+        assert mesh_health(mesh).values == {
+            "n_elements": 0, "degenerate_count": 0, "needle_count": 0,
+        }
+
     def test_extra_kwargs_land_in_values(self):
         mesh = mesh_of([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
         values = mesh_health(mesh, swaps=3).values
