@@ -267,7 +267,12 @@ def loads_stage(ctx: Context) -> Dict[str, Any]:
     mesh: Mesh = ctx["mesh"]
     load_case = LoadCase()
     flux_loads: List[Tuple[List[Tuple[int, int]], float]] = []
-    owners = _boundary_edge_groups(mesh)
+    # The owner of a boundary edge is the one element holding its row.
+    table = mesh.edge_table()
+    lone = table.count == 1
+    owners = dict(zip(zip(table.a[lone].tolist(), table.b[lone].tolist()),
+                      np.asarray(mesh.element_groups)[table.e1[lone]]
+                      .tolist()))
     for card in spec.loads:
         if card.kind == "flux":
             if spec.analysis != "thermal":
@@ -288,17 +293,6 @@ def loads_stage(ctx: Context) -> Dict[str, Any]:
                 load_case.add_force(node, 0, fx / len(nodes))
                 load_case.add_force(node, 1, fy / len(nodes))
     return {"load_case": load_case, "flux_loads": flux_loads}
-
-
-def _boundary_edge_groups(mesh: Mesh) -> Dict[Tuple[int, int], int]:
-    """Directed edge (a, b) -> element group of the owning element."""
-    owners: Dict[Tuple[int, int], int] = {}
-    for e in range(mesh.n_elements):
-        i, j, k = (int(n) for n in mesh.elements[e])
-        group = int(mesh.element_groups[e])
-        for a, b in ((i, j), (j, k), (k, i)):
-            owners[(a, b)] = group
-    return owners
 
 
 def _apply_pressure(load_case: LoadCase, mesh: Mesh, spec: AnalyzeSpec,

@@ -9,7 +9,7 @@ here; numbers on cards and plots are 1-based, as FORTRAN's were.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.cards.fortran_format import FortranFormat
 from repro.cards.writer import CardWriter
@@ -32,16 +32,11 @@ def plot_mesh(mesh: Mesh, title: str = "",
     plotter = plotter or Plotter4020()
     frame = plotter.advance(title)
     cmap = CoordinateMap(mesh.bounding_box().expanded(1e-9), margin=margin)
-    drawn: Set[Tuple[int, int]] = set()
-    for tri in mesh.elements:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            if key in drawn:
-                continue
-            drawn.add(key)
-            x0, y0 = cmap.to_raster(*mesh.nodes[key[0]])
-            x1, y1 = cmap.to_raster(*mesh.nodes[key[1]])
-            plotter.vector(x0, y0, x1, y1)
+    table = mesh.edge_table()
+    for a, b in zip(table.lo.tolist(), table.hi.tolist()):
+        x0, y0 = cmap.to_raster(*mesh.nodes[a])
+        x1, y1 = cmap.to_raster(*mesh.nodes[b])
+        plotter.vector(x0, y0, x1, y1)
     if title:
         plotter.text(margin, 20, title, size=14)
     if labels:

@@ -91,35 +91,12 @@ def _pass_candidates(mesh: Mesh) -> Tuple[np.ndarray, ...]:
     ``_try_swap``.
     """
     elements = mesh.elements
-    n_nodes = mesh.n_nodes
-    v0 = elements[:, 0]
-    v1 = elements[:, 1]
-    v2 = elements[:, 2]
-    edge_a = np.stack((v0, v1, v2), axis=1).ravel()
-    edge_b = np.stack((v1, v2, v0), axis=1).ravel()
-    lo = np.minimum(edge_a, edge_b).astype(np.int64)
-    hi = np.maximum(edge_a, edge_b).astype(np.int64)
-    keys = lo * n_nodes + hi
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    is_start = np.empty(len(sorted_keys), dtype=bool)
-    if len(sorted_keys):
-        is_start[0] = True
-        is_start[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.nonzero(is_start)[0]
-    counts = np.diff(np.append(starts, len(sorted_keys)))
-    pair_start = starts[counts == 2]
-    first = order[pair_start]
-    second = order[pair_start + 1]
-    # Dict-iteration order of the scalar sweep: each edge in order of its
-    # first appearance in the element/edge-slot scan.
-    replay = np.argsort(first, kind="stable")
-    first = first[replay]
-    second = second[replay]
-    e1 = first // 3
-    e2 = second // 3
-    a = lo[first]
-    b = hi[first]
+    table = mesh.edge_table()
+    pair = table.count == 2
+    a = table.lo[pair]
+    b = table.hi[pair]
+    e1 = table.e1[pair]
+    e2 = table.e2[pair]
     ok = np.asarray(mesh.element_groups)[e1] == \
         np.asarray(mesh.element_groups)[e2]
     # Opposite vertices: exactly one vertex of each triangle off the edge.

@@ -19,7 +19,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                                 "ContourSet", "contour_mesh",
                                 "triangle_crossings"],
     "repro.core.ospl.boundary": ["boundary_segments", "boundary_chains",
-                                 "boundary_edge_list", "BoundaryIndex"],
+                                 "boundary_edge_list"],
     "repro.core.ospl.labels": ["Label", "format_level", "place_labels"],
     "repro.core.ospl.plot": ["ContourPlot", "conplt"],
     "repro.core.ospl.limits": ["OsplLimits", "STRICT_1970", "UNLIMITED"],

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.fem.mesh import Mesh
 from repro.geometry.primitives import Segment
 
@@ -22,11 +20,9 @@ from repro.geometry.primitives import Segment
 def boundary_edge_list(mesh: Mesh) -> List[Tuple[int, int]]:
     """Boundary edges whose endpoints the flags also call boundary."""
     flags = mesh.flags()
-    edges = []
-    for a, b in mesh.boundary_edges():
-        if flags[a] > 0 and flags[b] > 0:
-            edges.append((a, b))
-    return edges
+    table = mesh.edge_table()
+    sel = (table.count == 1) & (flags[table.a] > 0) & (flags[table.b] > 0)
+    return list(zip(table.a[sel].tolist(), table.b[sel].tolist()))
 
 
 def boundary_segments(mesh: Mesh) -> List[Segment]:
@@ -74,28 +70,3 @@ def boundary_chains(mesh: Mesh) -> List[List[int]]:
                 break
         chains.append(chain)
     return chains
-
-
-def is_boundary_edge(mesh: Mesh, edge: Tuple[int, int]) -> bool:
-    """Whether a (sorted) node pair is one of the drawn boundary edges."""
-    a, b = min(edge), max(edge)
-    for p, q in boundary_edge_list(mesh):
-        if (min(p, q), max(p, q)) == (a, b):
-            return True
-    return False
-
-
-class BoundaryIndex:
-    """Set-based lookup of boundary edges, for the label pass."""
-
-    def __init__(self, mesh: Mesh):
-        self._edges = {
-            (min(a, b), max(a, b)) for a, b in boundary_edge_list(mesh)
-        }
-
-    def __contains__(self, edge: Tuple[int, int]) -> bool:
-        a, b = edge
-        return (min(a, b), max(a, b)) in self._edges
-
-    def __len__(self) -> int:
-        return len(self._edges)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.ospl.boundary import BoundaryIndex
+from repro.core.ospl.boundary import boundary_edge_list
 from repro.core.ospl.contour import ContourSet
 from repro.plotter.device import CoordinateMap
 from repro.plotter.text import boxes_overlap, text_box
@@ -59,7 +59,7 @@ def boundary_label_candidates(contours: ContourSet) -> List[Label]:
     and also qualify.
     """
     mesh = contours.mesh
-    index = BoundaryIndex(mesh)
+    boundary = {(min(a, b), max(a, b)) for a, b in boundary_edge_list(mesh)}
     flags = mesh.flags()
     # A crossing at a parameter of exactly 0 or 1 lands on a node and may
     # be recorded against an *interior* edge; those still intersect the
@@ -78,7 +78,7 @@ def boundary_label_candidates(contours: ContourSet) -> List[Label]:
                     round(endpoint.x, 9), round(endpoint.y, 9)
                 ) in boundary_node_keys
                 if not on_window and not on_node \
-                        and endpoint.edge not in index:
+                        and endpoint.edge not in boundary:
                     continue
                 key = (level, round(endpoint.x, 9), round(endpoint.y, 9))
                 if key in seen:

@@ -14,7 +14,7 @@ for a 2-dof-per-node elasticity problem is ``2 * (node_hb + 1) - 1``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,120 +44,123 @@ def matrix_bandwidth_for_dofs(node_bandwidth: int, dofs_per_node: int) -> int:
 def profile(mesh: Mesh) -> int:
     """Envelope (profile) size: sum over rows of (i - min connected j)."""
     lowest = np.arange(mesh.n_nodes)
-    for tri in mesh.elements:
-        m = int(min(tri))
-        for n in tri:
-            n = int(n)
-            if m < lowest[n]:
-                lowest[n] = m
+    np.minimum.at(lowest, mesh.elements.ravel(),
+                  np.repeat(mesh.elements.min(axis=1), 3))
     return int(np.sum(np.arange(mesh.n_nodes) - lowest))
 
 
-def _adjacency(mesh: Mesh) -> List[List[int]]:
-    adj_sets = mesh.node_adjacency()
-    degrees = [len(s) for s in adj_sets]
-    # Neighbours sorted by (degree, index): the Cuthill-McKee tie-break.
-    return [
-        sorted(s, key=lambda v: (degrees[v], v)) for s in adj_sets
-    ]
+def _csr_adjacency(mesh: Mesh) -> Tuple[np.ndarray, np.ndarray]:
+    """Node adjacency as CSR ``(indptr, indices)`` from the edge table.
+
+    Each node's neighbours are ordered by (degree, index): the
+    Cuthill-McKee tie-break.
+    """
+    table = mesh.edge_table()
+    lo, hi = table.lo, table.hi
+    owner = np.concatenate((lo, hi))
+    other = np.concatenate((hi, lo))
+    degree = np.bincount(owner, minlength=mesh.n_nodes)
+    order = np.lexsort((other, degree[other], owner))
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    return indptr, other[order]
 
 
-def _pseudo_peripheral(adj: List[List[int]], component: Sequence[int]) -> int:
-    """A good BFS start: the far end of a repeated level-structure sweep."""
-    start = min(component, key=lambda v: len(adj[v]))
+def _level_sets(indptr: np.ndarray, indices: np.ndarray, root: int,
+                seen: np.ndarray) -> List[np.ndarray]:
+    """Breadth-first levels from ``root`` over nodes not yet ``seen``.
+
+    Each level is the first occurrence of every unseen node among the
+    previous level's concatenated neighbour rows -- the order a
+    sequential FIFO queue visits them in.  Marks every reached node in
+    ``seen``.
+    """
+    seen[root] = True
+    levels = [np.array([root])]
+    while True:
+        frontier = levels[-1]
+        starts = indptr[frontier]
+        sizes = indptr[frontier + 1] - starts
+        ends = np.cumsum(sizes)
+        slots = np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
+        reached = indices[slots]
+        reached = reached[~seen[reached]]
+        if not reached.size:
+            return levels
+        _, first = np.unique(reached, return_index=True)
+        level = reached[np.sort(first)]
+        seen[level] = True
+        levels.append(level)
+
+
+def _pseudo_peripheral(indptr: np.ndarray, indices: np.ndarray,
+                       seed: int) -> int:
+    """A good BFS start for ``seed``'s component: the far end of a
+    repeated level-structure sweep.
+
+    Ties among candidates of minimum degree go to the lowest node index.
+    """
+    degree = np.diff(indptr)
+
+    def sweep(root: int) -> List[np.ndarray]:
+        return _level_sets(indptr, indices, root,
+                           np.zeros(len(degree), dtype=bool))
+
+    def lowest_degree(nodes: np.ndarray) -> int:
+        nodes = np.sort(nodes)
+        return int(nodes[np.argmin(degree[nodes])])
+
+    start = lowest_degree(np.concatenate(sweep(seed)))
+    levels = sweep(start)
     for _ in range(4):
-        levels = _bfs_levels(adj, start)
-        depth = max(levels[v] for v in component if levels[v] >= 0)
-        frontier = [v for v in component if levels[v] == depth]
-        candidate = min(frontier, key=lambda v: len(adj[v]))
+        candidate = lowest_degree(levels[-1])
         if candidate == start:
             break
-        new_levels = _bfs_levels(adj, candidate)
-        new_depth = max(new_levels[v] for v in component if new_levels[v] >= 0)
-        if new_depth <= depth:
-            start = candidate
-            break
+        new_levels = sweep(candidate)
         start = candidate
+        if len(new_levels) <= len(levels):
+            break
+        levels = new_levels
     return start
-
-
-def _bfs_levels(adj: List[List[int]], start: int) -> List[int]:
-    levels = [-1] * len(adj)
-    levels[start] = 0
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in adj[v]:
-            if levels[w] < 0:
-                levels[w] = levels[v] + 1
-                queue.append(w)
-    return levels
 
 
 def cuthill_mckee(mesh: Mesh, start: Optional[int] = None) -> List[int]:
     """Cuthill-McKee visit order (old node indices, in visit sequence).
 
-    Handles disconnected meshes by restarting from the lowest-degree
-    unvisited node of each component.  Isolated nodes (in no element) are
-    appended last, preserving their relative order.
+    Each component is swept from a pseudo-peripheral node of the
+    component holding the lowest unvisited node index (``start``, when
+    given, roots the first sweep instead).  Isolated nodes (in no
+    element) are appended last, preserving their relative order.
     """
     n = mesh.n_nodes
-    if n == 0:
-        return []
-    adj = _adjacency(mesh)
-    visited = [False] * n
-    order: List[int] = []
-    connected = [v for v in range(n) if adj[v]]
-    remaining: Set[int] = set(connected)
-    first_component = True
-    while remaining:
-        if first_component and start is not None:
-            if start < 0 or start >= n:
-                raise MeshError(f"start node {start} out of range")
-            root = start
-        else:
-            component = _component_of(adj, next(iter(remaining)), remaining)
-            root = _pseudo_peripheral(adj, component)
-        first_component = False
-        if visited[root]:
-            remaining.discard(root)
-            continue
-        queue = [root]
-        visited[root] = True
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            remaining.discard(v)
-            for w in adj[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    queue.append(w)
-    # Isolated nodes go at the end.
-    for v in range(n):
-        if not adj[v]:
-            order.append(v)
+    if start is not None and not 0 <= start < n:
+        raise MeshError(f"start node {start} out of range")
+    indptr, indices = _csr_adjacency(mesh)
+    connected = np.diff(indptr) > 0
+    seen = np.zeros(n, dtype=bool)
+    levels: List[np.ndarray] = []
+    if start is not None:
+        levels += _level_sets(indptr, indices, start, seen)
+    for seed in np.flatnonzero(connected).tolist():
+        if not seen[seed]:
+            root = _pseudo_peripheral(indptr, indices, seed)
+            levels += _level_sets(indptr, indices, root, seen)
+    levels.append(np.flatnonzero(~seen))
+    order: List[int] = np.concatenate(levels).tolist()
     return order
 
 
-def _component_of(adj: List[List[int]], seed: int,
-                  remaining: Set[int]) -> List[int]:
-    levels = _bfs_levels(adj, seed)
-    return [v for v in remaining if levels[v] >= 0]
+def _permutation(order: Sequence[int]) -> List[int]:
+    """``perm[old] = new`` for a visit order of old node indices."""
+    perm = np.empty(len(order), dtype=int)
+    perm[np.asarray(order, dtype=int)] = np.arange(len(order))
+    inverse: List[int] = perm.tolist()
+    return inverse
 
 
 def reverse_cuthill_mckee(mesh: Mesh, start: Optional[int] = None) -> List[int]:
     """RCM permutation: ``perm[old] = new`` node number."""
     with obs.span("fem.renumber.rcm", nodes=mesh.n_nodes):
-        order = cuthill_mckee(mesh, start=start)
-        order.reverse()
-        perm = [0] * mesh.n_nodes
-        for new, old in enumerate(order):
-            perm[old] = new
-    return perm
+        return _permutation(cuthill_mckee(mesh, start=start)[::-1])
 
 
 def renumber_mesh(mesh: Mesh, method: str = "rcm",
@@ -166,10 +169,7 @@ def renumber_mesh(mesh: Mesh, method: str = "rcm",
     if method == "rcm":
         perm = reverse_cuthill_mckee(mesh, start=start)
     elif method == "cm":
-        order = cuthill_mckee(mesh, start=start)
-        perm = [0] * mesh.n_nodes
-        for new, old in enumerate(order):
-            perm[old] = new
+        perm = _permutation(cuthill_mckee(mesh, start=start))
     else:
         raise MeshError(f"unknown renumbering method {method!r}")
     return mesh.renumbered(perm)

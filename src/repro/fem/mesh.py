@@ -12,8 +12,10 @@ type-3 cards):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -23,6 +25,30 @@ from repro.geometry.primitives import BoundingBox, Point
 
 #: OSPL boundary-flag values.
 INTERIOR, BOUNDARY_SHARED, BOUNDARY_LONE = 0, 1, 2
+
+
+class EdgeTable(NamedTuple):
+    """One row per unique mesh edge, in first-encounter order.
+
+    ``a``/``b`` are the edge's first directed occurrence, ``count`` how
+    many elements share it (1 on the boundary, 2 inside, more where the
+    mesh is non-manifold), ``e1`` the first of those elements and
+    ``e2`` the second (-1 when there is none).
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    count: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+
+    @property
+    def lo(self) -> np.ndarray:
+        return np.minimum(self.a, self.b)
+
+    @property
+    def hi(self) -> np.ndarray:
+        return np.maximum(self.a, self.b)
 
 
 @dataclass
@@ -48,7 +74,7 @@ class Mesh:
     boundary_flags: Optional[np.ndarray] = None
     element_groups: Optional[np.ndarray] = None
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.elements = np.asarray(self.elements, dtype=int)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
@@ -152,12 +178,15 @@ class Mesh:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def _edge_keys(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed edges in flat (element, slot) order plus their keys.
+    def edge_table(self) -> EdgeTable:
+        """The mesh's unique edges in first-encounter order.
 
-        Returns ``(edge_a, edge_b, keys)`` over the ``3e`` directed
-        element edges; ``keys`` encodes each undirected edge as
-        ``min * n_nodes + max``.
+        One stable argsort of the ``min * n_nodes + max`` keys of the
+        ``3e`` directed element edges (element-major, slots ``(0, 1)``,
+        ``(1, 2)``, ``(2, 0)``) groups every undirected edge; the rows
+        are then ordered by each edge's first (element, slot) occurrence.
+        Built on demand and never cached: reform and :meth:`orient_ccw`
+        rewrite ``elements`` in place.
         """
         edge_a = self.elements.ravel()
         edge_b = self.elements[:, [1, 2, 0]].ravel()
@@ -165,65 +194,43 @@ class Mesh:
             np.minimum(edge_a, edge_b).astype(np.int64) * self.n_nodes
             + np.maximum(edge_a, edge_b)
         )
-        return edge_a, edge_b, keys
-
-    def _edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed edges in element order plus per-edge share counts.
-
-        Returns ``(edge_a, edge_b, n_sharing)``; ``n_sharing`` is how
-        many elements contain each edge's undirected key.
-        """
-        edge_a, edge_b, keys = self._edge_keys()
-        _, inverse, counts = np.unique(
-            keys, return_inverse=True, return_counts=True
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        is_start = np.ones(len(order), dtype=bool)
+        is_start[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        starts = np.flatnonzero(is_start)
+        count = np.diff(np.append(starts, len(order)))
+        # Each edge's first two occurrences (the second is read only
+        # where the edge is shared); rows go in first-occurrence order.
+        first = order[starts]
+        second = np.append(order, -1)[starts + 1]
+        rows = np.argsort(first)
+        first, second, count = first[rows], second[rows], count[rows]
+        return EdgeTable(
+            a=edge_a[first], b=edge_b[first], count=count,
+            e1=first // 3, e2=np.where(count > 1, second // 3, -1),
         )
-        return edge_a, edge_b, counts[inverse]
 
     def edge_counts(self) -> Dict[Tuple[int, int], int]:
         """How many elements share each (sorted) edge."""
-        edge_a, edge_b, n_sharing = self._edge_arrays()
-        lo = np.minimum(edge_a, edge_b)
-        hi = np.maximum(edge_a, edge_b)
-        return {
-            (a, b): n
-            for a, b, n in zip(lo.tolist(), hi.tolist(), n_sharing.tolist())
-        }
+        table = self.edge_table()
+        return dict(zip(zip(table.lo.tolist(), table.hi.tolist()),
+                        table.count.tolist()))
 
     def boundary_edges(self) -> List[Tuple[int, int]]:
         """Edges belonging to exactly one element, in element order."""
-        edge_a, edge_b, n_sharing = self._edge_arrays()
-        sel = n_sharing == 1
-        return list(zip(edge_a[sel].tolist(), edge_b[sel].tolist()))
-
-    def _per_node(self, owner: np.ndarray, items: np.ndarray
-                  ) -> List[List[int]]:
-        """``items`` grouped by ``owner`` node, stable within a node."""
-        order = np.argsort(owner, kind="stable")
-        ends = np.cumsum(np.bincount(owner, minlength=self.n_nodes)).tolist()
-        flat = items[order].tolist()
-        return [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
-
-    def node_elements(self) -> List[List[int]]:
-        """For each node, the list of elements containing it."""
-        flat = self.elements.ravel()
-        return self._per_node(flat, np.arange(flat.size) // 3)
-
-    def node_adjacency(self) -> List[Set[int]]:
-        """Node-to-node adjacency through element edges."""
-        keys = np.unique(self._edge_keys()[2])
-        lo, hi = np.divmod(keys, self.n_nodes)
-        both = self._per_node(np.concatenate((lo, hi)),
-                              np.concatenate((hi, lo)))
-        return [set(neighbours) for neighbours in both]
+        table = self.edge_table()
+        sel = table.count == 1
+        return list(zip(table.a[sel].tolist(), table.b[sel].tolist()))
 
     def compute_boundary_flags(self) -> np.ndarray:
         """Derive the OSPL flags (0/1/2) from the connectivity."""
         flags = np.zeros(self.n_nodes, dtype=int)
-        edge_a, edge_b, n_sharing = self._edge_arrays()
-        sel = n_sharing == 1
+        table = self.edge_table()
+        sel = table.count == 1
         on_boundary = np.zeros(self.n_nodes, dtype=bool)
-        on_boundary[edge_a[sel]] = True
-        on_boundary[edge_b[sel]] = True
+        on_boundary[table.a[sel]] = True
+        on_boundary[table.b[sel]] = True
         incidence = np.bincount(
             self.elements.ravel(), minlength=self.n_nodes
         )
@@ -236,13 +243,13 @@ class Mesh:
     def flags(self) -> np.ndarray:
         """Boundary flags, computing them if absent."""
         if self.boundary_flags is None:
-            self.compute_boundary_flags()
+            return self.compute_boundary_flags()
         return self.boundary_flags
 
     # ------------------------------------------------------------------
     # Node finding (for boundary conditions on generated meshes)
     # ------------------------------------------------------------------
-    def find_nodes(self, predicate) -> List[int]:
+    def find_nodes(self, predicate: Callable[[Point], bool]) -> List[int]:
         """Indices of nodes whose Point satisfies ``predicate``."""
         return [
             i for i in range(self.n_nodes) if predicate(self.node_point(i))

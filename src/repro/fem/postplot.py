@@ -10,7 +10,7 @@ caption.
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -78,16 +78,11 @@ def plot_deformed(mesh: Mesh, displacements: np.ndarray,
         x1, y1 = cmap.to_raster(*mesh.nodes[b])
         plotter.vector(x0, y0, x1, y1)
     # Deformed mesh, every unique edge.
-    drawn: Set[Tuple[int, int]] = set()
-    for tri in mesh.elements:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            if key in drawn:
-                continue
-            drawn.add(key)
-            x0, y0 = cmap.to_raster(*moved[key[0]])
-            x1, y1 = cmap.to_raster(*moved[key[1]])
-            plotter.vector(x0, y0, x1, y1)
+    table = mesh.edge_table()
+    for a, b in zip(table.lo.tolist(), table.hi.tolist()):
+        x0, y0 = cmap.to_raster(*moved[a])
+        x1, y1 = cmap.to_raster(*moved[b])
+        plotter.vector(x0, y0, x1, y1)
     if title:
         plotter.text(90, 40, title.upper(), size=12)
     plotter.text(90, 20, f"DEFORMATIONS MAGNIFIED {scale:.0f}X", size=10)

@@ -7,7 +7,8 @@ This module keeps those loops alive, written in the most literal scalar
 form, so the cross-check suite (``test_kernel_crosscheck.py``) can
 assert on *randomized* inputs -- not just the fixed golden corpus --
 that the batched kernels compute bit-for-bit the same meshes, shapes,
-swaps, element quality, node adjacency and contour segments.
+swaps, element quality, edge tables, Cuthill-McKee orders and
+contour segments.
 
 Everything here trades speed for obviousness: Python loops, dicts and
 tuples only, numpy used purely as a container.  Do not import these
@@ -399,16 +400,24 @@ def shape_quality(a, b, c) -> float:
 
 
 # ----------------------------------------------------------------------
-# Node adjacency and incidence
+# Edge table, node adjacency, Cuthill-McKee and the profile
 # ----------------------------------------------------------------------
 
-def scalar_node_elements(mesh: Mesh) -> List[List[int]]:
-    """For each node, the elements containing it, by an element loop."""
-    incident: List[List[int]] = [[] for _ in range(mesh.n_nodes)]
-    for e, tri in enumerate(mesh.elements):
-        for n in tri:
-            incident[int(n)].append(e)
-    return incident
+def scalar_edge_table(mesh: Mesh) -> List[Tuple[int, ...]]:
+    """``(a, b, count, e1, e2)`` per unique edge, by a dict walk.
+
+    The dict is keyed on the sorted node pair and filled in element /
+    edge-slot order, so its insertion order is the first-encounter
+    order and each row keeps the edge's first directed occurrence.
+    """
+    rows: Dict[Tuple[int, int], List[int]] = {}
+    for e, (i, j, k) in enumerate(mesh.elements.tolist()):
+        for a, b in ((i, j), (j, k), (k, i)):
+            row = rows.setdefault((min(a, b), max(a, b)), [a, b, 0, e, -1])
+            row[2] += 1
+            if row[2] == 2:
+                row[4] = e
+    return [tuple(row) for row in rows.values()]
 
 
 def scalar_node_adjacency(mesh: Mesh) -> List[set]:
@@ -420,6 +429,102 @@ def scalar_node_adjacency(mesh: Mesh) -> List[set]:
         adj[b].update((a, c))
         adj[c].update((a, b))
     return adj
+
+
+def scalar_profile(mesh: Mesh) -> int:
+    """Envelope size by the per-element loop: sum of (i - lowest j)."""
+    lowest = list(range(mesh.n_nodes))
+    for tri in mesh.elements.tolist():
+        m = min(tri)
+        for n in tri:
+            lowest[n] = min(lowest[n], m)
+    return sum(i - low for i, low in enumerate(lowest))
+
+
+def _bfs_levels(adj: List[List[int]], start: int) -> List[int]:
+    levels = [-1] * len(adj)
+    levels[start] = 0
+    queue = [start]
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for w in adj[v]:
+            if levels[w] < 0:
+                levels[w] = levels[v] + 1
+                queue.append(w)
+    return levels
+
+
+def _pseudo_peripheral(adj: List[List[int]], component: List[int]) -> int:
+    """The far end of a repeated level-structure sweep.
+
+    ``component`` is ascending, so every ``min`` by degree picks the
+    lowest node index among the minimum-degree candidates.
+    """
+    start = min(component, key=lambda v: len(adj[v]))
+    for _ in range(4):
+        levels = _bfs_levels(adj, start)
+        depth = max(levels[v] for v in component if levels[v] >= 0)
+        frontier = [v for v in component if levels[v] == depth]
+        candidate = min(frontier, key=lambda v: len(adj[v]))
+        if candidate == start:
+            break
+        new_levels = _bfs_levels(adj, candidate)
+        new_depth = max(new_levels[v] for v in component
+                        if new_levels[v] >= 0)
+        if new_depth <= depth:
+            start = candidate
+            break
+        start = candidate
+    return start
+
+
+def scalar_cuthill_mckee(mesh: Mesh, start: Optional[int] = None
+                         ) -> List[int]:
+    """Cuthill-McKee by a per-node FIFO queue over sorted neighbour lists.
+
+    Neighbours are visited by (degree, index); each component is swept
+    from the pseudo-peripheral node of the component holding the lowest
+    unvisited node; isolated nodes not yet visited come last.
+    """
+    n = mesh.n_nodes
+    sets = scalar_node_adjacency(mesh)
+    adj = [sorted(s, key=lambda v: (len(sets[v]), v)) for s in sets]
+    visited = [False] * n
+    order: List[int] = []
+    remaining = [v for v in range(n) if adj[v]]
+    roots = [] if start is None else [start]
+    while True:
+        remaining = [v for v in remaining if not visited[v]]
+        if roots:
+            root = roots.pop()
+        elif remaining:
+            levels = _bfs_levels(adj, remaining[0])
+            root = _pseudo_peripheral(
+                adj, [v for v in remaining if levels[v] >= 0])
+        else:
+            break
+        queue = [root]
+        visited[root] = True
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            order.append(v)
+            for w in adj[v]:
+                if not visited[w]:
+                    visited[w] = True
+                    queue.append(w)
+    return order + [v for v in range(n) if not visited[v]]
+
+
+def scalar_permutation(order: Sequence[int]) -> List[int]:
+    """``perm[old] = new`` for a visit order, by a Python loop."""
+    perm = [0] * len(order)
+    for new, old in enumerate(order):
+        perm[old] = new
+    return perm
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analyze.deck import (
     AnalyzeDeck,
+    read_analyze_deck,
     AnalyzeSpec,
     LoadCardSpec,
     MaterialCard,
@@ -14,8 +15,14 @@ from repro.analyze.deck import (
     write_analyze_deck,
 )
 from repro.analyze.examples import deck_text, plate_deck
+from repro.analyze.pipeline import analyze_problem_pipeline
 from repro.analyze.program import run_analyze
 from repro.cards.reader import CardReader
+from repro.core.idlz.deck import IdlzProblem
+from repro.core.idlz.shaping import ShapingSegment
+from repro.core.idlz.subdivision import Subdivision
+from repro.core.idlz.limits import UNLIMITED as IDLZ_UNLIMITED
+from repro.core.ospl.limits import UNLIMITED as OSPL_UNLIMITED
 from repro.errors import AnalyzeError, SolverError
 from repro.pipeline import StageCache
 
@@ -73,6 +80,62 @@ class TestStatic:
         text = deck_text(respec(spec))
         with pytest.raises(SolverError):
             run_text(text)
+
+    def test_pressure_edges_take_the_owning_material_thickness(self):
+        # Two 4 x 6 subdivisions side by side share the column x = 4;
+        # the left one is 0.25 thick, the right one 1.0.  PRESSURE on
+        # y = 6 must load each top edge with its own element's
+        # thickness.
+        def segment(sub, k1, k2, row, x1, x2):
+            return ShapingSegment(subdivision=sub, k1=k1, l1=row, k2=k2,
+                                  l2=row, x1=x1, y1=row - 1.0, x2=x2,
+                                  y2=row - 1.0)
+
+        problem = IdlzProblem(
+            title="TWO MATERIAL PLATE",
+            subdivisions=[Subdivision(index=1, kk1=1, ll1=1, kk2=5, ll2=7),
+                          Subdivision(index=2, kk1=5, ll1=1, kk2=9, ll2=7)],
+            segments=[segment(1, 1, 5, 1, 0.0, 4.0),
+                      segment(1, 1, 5, 7, 0.0, 4.0),
+                      segment(2, 5, 9, 1, 4.0, 8.0),
+                      segment(2, 5, 9, 7, 4.0, 8.0)],
+        )
+        spec = AnalyzeSpec(
+            analysis="plane_stress",
+            materials=(MaterialCard(group=1, youngs=30.0e6, poisson=0.3,
+                                    thickness=0.25),
+                       MaterialCard(group=2, youngs=10.0e6, poisson=0.33,
+                                    thickness=1.0)),
+            supports=(SupportCard(axis="y", coord=0.0, dofs="uv"),),
+            loads=(LoadCardSpec(kind="pressure", axis="y", coord=6.0,
+                                values=(1000.0,)),),
+            plots=("displacement",),
+        )
+        text = write_analyze_deck(AnalyzeDeck(problem=problem,
+                                              spec=spec)).to_text()
+        deck = read_analyze_deck(CardReader.from_text(text))
+        result = analyze_problem_pipeline().run({
+            "subdivisions": deck.problem.subdivisions,
+            "segments": deck.problem.segments,
+            "limits": IDLZ_UNLIMITED,
+            "prefer_pairs": {},
+            "reform": True,
+            "renumber": True,
+            "spec": deck.spec,
+            "title": deck.title,
+            "ospl_limits": OSPL_UNLIMITED,
+        })
+        mesh = result["mesh"]
+        force = result["load_case"].vector(mesh.n_nodes)
+        top = mesh.nodes_near(y=6.0)
+        fy = {float(mesh.nodes[n, 0]): force[2 * n + 1] for n in top}
+        assert fy == pytest.approx({
+            0.0: -125.0, 1.0: -250.0, 2.0: -250.0, 3.0: -250.0,
+            4.0: -625.0, 5.0: -1000.0, 6.0: -1000.0, 7.0: -1000.0,
+            8.0: -500.0,
+        })
+        assert force[0::2] == pytest.approx(0.0)
+        assert force[1::2].sum() == pytest.approx(-5000.0)
 
     def test_missing_material_raises(self):
         text = "\n".join(

@@ -112,6 +112,26 @@ class TestCuthillMckee:
         order = cuthill_mckee(mesh)
         assert order[-1] == 3
 
+    def test_tied_degrees_break_to_the_lowest_index(self):
+        # Two squares, each split by one diagonal, plus an isolated node.
+        # Square Y = {0, 2, 5, 6} holds the lowest node, so it is swept
+        # first; in each square both diagonal-free corners have degree
+        # 2, so the pseudo-peripheral search starts from the lower one
+        # and ends at the other, and the sweep visits the two degree-3
+        # neighbours lowest index first.
+        nodes = np.array([[0, 0], [10, 0], [1, 0], [11, 0], [11, 1],
+                          [1, 1], [0, 1], [10, 1], [5, 5]], float)
+        elements = np.array([[0, 2, 5], [0, 5, 6], [1, 3, 4], [1, 4, 7]])
+        mesh = Mesh(nodes=nodes, elements=elements)
+        assert cuthill_mckee(mesh) == [6, 0, 5, 2, 7, 1, 4, 3, 8]
+        assert reverse_cuthill_mckee(mesh) == [7, 3, 5, 1, 2, 6, 8, 4, 0]
+
+    def test_isolated_start_node_is_numbered_once(self):
+        nodes = np.array([[0, 0], [1, 0], [0, 1], [5, 5]], float)
+        mesh = Mesh(nodes=nodes, elements=np.array([[0, 1, 2]]))
+        assert cuthill_mckee(mesh, start=3) == [3, 1, 0, 2]
+        assert sorted(reverse_cuthill_mckee(mesh, start=3)) == [0, 1, 2, 3]
+
     def test_geometry_preserved_under_renumbering(self):
         messy = path_mesh(12, shuffle_seed=5)
         rcm = renumber_mesh(messy, "rcm")
@@ -128,9 +148,8 @@ class TestAgainstNetworkx:
         mesh = path_mesh(30, shuffle_seed=11)
         graph = nx.Graph()
         graph.add_nodes_from(range(mesh.n_nodes))
-        for adj_node, neighbours in enumerate(mesh.node_adjacency()):
-            for other in neighbours:
-                graph.add_edge(adj_node, other)
+        table = mesh.edge_table()
+        graph.add_edges_from(zip(table.lo.tolist(), table.hi.tolist()))
         nx_order = list(reverse_cuthill_mckee_ordering(graph))
         nx_perm = [0] * mesh.n_nodes
         for new, old in enumerate(nx_order):

@@ -87,15 +87,22 @@ class TestTopology:
         assert counts[(0, 2)] == 2  # the diagonal
         assert counts[(0, 1)] == 1
 
-    def test_node_elements(self, unit_square_mesh):
-        incident = unit_square_mesh.node_elements()
-        assert incident[0] == [0, 1]
-        assert incident[1] == [0]
+    def test_edge_table_rows_in_first_encounter_order(self,
+                                                      unit_square_mesh):
+        table = unit_square_mesh.edge_table()
+        rows = list(zip(table.a.tolist(), table.b.tolist(),
+                        table.count.tolist(), table.e1.tolist(),
+                        table.e2.tolist()))
+        # Element 0 gives (0,1), (1,2), (2,0); element 1 reuses (0,2)
+        # reversed and adds (2,3), (3,0).
+        assert rows == [(0, 1, 1, 0, -1), (1, 2, 1, 0, -1),
+                        (2, 0, 2, 0, 1), (2, 3, 1, 1, -1),
+                        (3, 0, 1, 1, -1)]
 
-    def test_node_adjacency(self, unit_square_mesh):
-        adj = unit_square_mesh.node_adjacency()
-        assert adj[0] == {1, 2, 3}
-        assert adj[1] == {0, 2}
+    def test_edge_table_sorted_pairs(self, unit_square_mesh):
+        table = unit_square_mesh.edge_table()
+        assert list(zip(table.lo.tolist(), table.hi.tolist())) == \
+            [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)]
 
     def test_boundary_flags(self, unit_square_mesh):
         flags = unit_square_mesh.compute_boundary_flags()

@@ -19,7 +19,12 @@ from repro.core.idlz.shaping import Shaper
 from repro.core.ospl.contour import ContourSet
 from repro.core.ospl.intervals import classify_levels, contour_levels
 from repro.errors import MeshError
-from repro.fem.bandwidth import reverse_cuthill_mckee
+from repro.fem.bandwidth import (
+    cuthill_mckee,
+    profile,
+    renumber_mesh,
+    reverse_cuthill_mckee,
+)
 from repro.fem.mesh import Mesh
 from repro.fem.quality import triangle_measures, triangle_min_angles
 from repro.fem.results import NodalField
@@ -28,10 +33,12 @@ from tests.deckgen import any_assemblage, chain_assemblages
 from tests import scalar_reference
 from tests.scalar_reference import (
     scalar_create_elements,
+    scalar_cuthill_mckee,
+    scalar_edge_table,
     scalar_extract_contours,
-    scalar_node_adjacency,
-    scalar_node_elements,
     scalar_number_lattice,
+    scalar_permutation,
+    scalar_profile,
     scalar_reform,
     scalar_shape,
     scalar_zipper,
@@ -204,7 +211,7 @@ class TestQualityCrossCheck:
 
 
 # ----------------------------------------------------------------------
-# Node adjacency, incidence and RCM
+# Edge table, Cuthill-McKee and the profile
 # ----------------------------------------------------------------------
 
 def _lattice(rng, nx, ny, offset=0):
@@ -238,18 +245,82 @@ def _seeded_mesh(seed, kind):
     return Mesh(nodes=nodes[inverse], elements=perm[elements])
 
 
+def _check_edge_table(mesh):
+    table = mesh.edge_table()
+    got = list(zip(table.a.tolist(), table.b.tolist(), table.count.tolist(),
+                   table.e1.tolist(), table.e2.tolist()))
+    assert got == scalar_edge_table(mesh)
+
+
+class TestEdgeTableCrossCheck:
+    @pytest.mark.parametrize("kind", ["connected", "disconnected",
+                                      "isolated"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_meshes_match_dict_walk(self, seed, kind):
+        mesh = _seeded_mesh(seed, kind)
+        _check_edge_table(mesh)
+        mesh.orient_ccw()
+        reform_elements(mesh)
+        _check_edge_table(mesh)
+
+    @given(any_assemblage())
+    @settings(max_examples=30, deadline=None)
+    def test_built_meshes_match_dict_walk_before_and_after_reform(
+        self, assemblage
+    ):
+        mesh = _build_mesh(*assemblage)
+        _check_edge_table(mesh)
+        reform_elements(mesh)
+        _check_edge_table(mesh)
+
+    def test_non_manifold_edge_shared_by_three_elements(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
+                          [0.5, -1.0], [0.5, 2.0]])
+        mesh = Mesh(nodes=nodes, elements=np.array(
+            [[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+        _check_edge_table(mesh)
+        table = mesh.edge_table()
+        assert (table.a[0], table.b[0], table.count[0],
+                table.e1[0], table.e2[0]) == (0, 1, 3, 0, 1)
+
+    def test_empty_mesh(self):
+        mesh = Mesh(nodes=np.zeros((3, 2)), elements=np.zeros((0, 3), int))
+        _check_edge_table(mesh)
+        assert mesh.boundary_edges() == []
+        assert mesh.edge_counts() == {}
+        assert cuthill_mckee(mesh) == scalar_cuthill_mckee(mesh) == [0, 1, 2]
+
+
 class TestAdjacencyCrossCheck:
     @pytest.mark.parametrize("kind", ["connected", "disconnected",
                                       "isolated"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_adjacency_and_rcm_match_element_loop(self, seed, kind,
-                                                  monkeypatch):
+    def test_adjacency_and_rcm_match_element_loop(self, seed, kind):
         mesh = _seeded_mesh(seed, kind)
-        assert mesh.node_adjacency() == scalar_node_adjacency(mesh)
-        assert mesh.node_elements() == scalar_node_elements(mesh)
-        perm = reverse_cuthill_mckee(mesh)
-        monkeypatch.setattr(Mesh, "node_adjacency", scalar_node_adjacency)
-        assert perm == reverse_cuthill_mckee(mesh)
+        order = scalar_cuthill_mckee(mesh)
+        assert cuthill_mckee(mesh) == order
+        assert reverse_cuthill_mckee(mesh) == \
+            scalar_permutation(order[::-1])
+        assert np.array_equal(renumber_mesh(mesh, "cm").elements,
+                              mesh.renumbered(
+                                  scalar_permutation(order)).elements)
+        for start in (0, mesh.n_nodes // 2, mesh.n_nodes - 1):
+            assert cuthill_mckee(mesh, start=start) == \
+                scalar_cuthill_mckee(mesh, start=start)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_profile_matches_element_loop(self, seed):
+        for kind in ("connected", "disconnected", "isolated"):
+            mesh = _seeded_mesh(seed, kind)
+            assert profile(mesh) == scalar_profile(mesh)
+
+    @given(chain_assemblages())
+    @settings(max_examples=20, deadline=None)
+    def test_built_meshes_match_reference_order(self, assemblage):
+        mesh = _build_mesh(*assemblage)
+        reform_elements(mesh)
+        assert cuthill_mckee(mesh) == scalar_cuthill_mckee(mesh)
+        assert profile(mesh) == scalar_profile(mesh)
 
 
 # ----------------------------------------------------------------------

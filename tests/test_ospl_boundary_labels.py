@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.ospl.boundary import (
-    BoundaryIndex,
     boundary_chains,
     boundary_edge_list,
     boundary_segments,
-    is_boundary_edge,
 )
 from repro.core.ospl.contour import contour_mesh
 from repro.core.ospl.labels import (
@@ -65,18 +63,25 @@ class TestBoundary:
         chains = boundary_chains(frame_mesh)
         assert len(chains) == 2
 
-    def test_is_boundary_edge(self):
+    def test_edge_list_is_the_tables_boundary_rows(self):
         mesh = grid_mesh(2)
-        assert is_boundary_edge(mesh, (0, 1))
+        edges = boundary_edge_list(mesh)
+        assert (0, 1) in edges
         centre = 4  # middle node of the 3x3 grid
-        assert not is_boundary_edge(mesh, (0, centre))
+        assert all(centre not in edge for edge in edges)
+        table = mesh.edge_table()
+        lone = table.count == 1
+        assert edges == list(zip(table.a[lone].tolist(),
+                                 table.b[lone].tolist()))
 
-    def test_boundary_index(self):
+    def test_partial_flags_drop_edges_with_an_interior_end(self):
         mesh = grid_mesh(2)
-        index = BoundaryIndex(mesh)
-        assert (0, 1) in index
-        assert (1, 0) in index  # order-insensitive
-        assert len(index) == 8
+        flags = mesh.compute_boundary_flags().copy()
+        flags[1] = 0
+        mesh.boundary_flags = flags
+        edges = boundary_edge_list(mesh)
+        assert len(edges) == 6
+        assert all(1 not in edge for edge in edges)
 
     def test_flags_respected(self):
         # Zero all flags: OSPL draws no outline.
