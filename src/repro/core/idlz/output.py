@@ -33,10 +33,9 @@ def plot_mesh(mesh: Mesh, title: str = "",
     frame = plotter.advance(title)
     cmap = CoordinateMap(mesh.bounding_box().expanded(1e-9), margin=margin)
     table = mesh.edge_table()
-    for a, b in zip(table.lo.tolist(), table.hi.tolist()):
-        x0, y0 = cmap.to_raster(*mesh.nodes[a])
-        x1, y1 = cmap.to_raster(*mesh.nodes[b])
-        plotter.vector(x0, y0, x1, y1)
+    x0, y0 = cmap.to_raster(mesh.nodes[table.lo, 0], mesh.nodes[table.lo, 1])
+    x1, y1 = cmap.to_raster(mesh.nodes[table.hi, 0], mesh.nodes[table.hi, 1])
+    plotter.vectors(x0, y0, x1, y1)
     if title:
         plotter.text(margin, 20, title, size=14)
     if labels:
@@ -126,16 +125,15 @@ def print_listing(ideal: Idealization) -> str:
         )
     lines.append("")
     lines.append(" NODE        X            Y      BDY")
-    flags = ideal.mesh.flags()
-    for n in range(ideal.n_nodes):
-        x, y = ideal.mesh.nodes[n]
-        lines.append(f"{n + 1:5d}  {x:12.5f} {y:12.5f}  {flags[n]:3d}")
+    mesh = ideal.mesh  # each table: one %-template over 1-based columns
+    lines.extend("%5d  %12.5f %12.5f  %3d" % row for row in zip(
+        range(1, ideal.n_nodes + 1), mesh.nodes[:, 0].tolist(),
+        mesh.nodes[:, 1].tolist(), mesh.flags().tolist()))
     lines.append("")
     lines.append(" ELEM   NODE1 NODE2 NODE3  GROUP")
-    for e in range(ideal.n_elements):
-        i, j, k = (int(v) + 1 for v in ideal.mesh.elements[e])
-        g = int(ideal.mesh.element_groups[e]) + 1
-        lines.append(f"{e + 1:5d}  {i:5d} {j:5d} {k:5d}  {g:5d}")
+    lines.extend("%5d  %5d %5d %5d  %5d" % row for row in zip(
+        range(1, ideal.n_elements + 1), *(mesh.elements + 1).T.tolist(),
+        (mesh.element_groups + 1).tolist()))
     return "\n".join(lines) + "\n"
 
 

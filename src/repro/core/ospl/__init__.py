@@ -15,11 +15,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.ospl.intervals": ["choose_interval", "contour_levels",
                                   "ladder_values", "BASES",
                                   "TARGET_FRACTION"],
-    "repro.core.ospl.contour": ["ContourPoint", "ContourSegment",
-                                "ContourSet", "contour_mesh",
-                                "triangle_crossings"],
+    "repro.core.ospl.contour": ["ContourSet", "LevelSegments",
+                                "contour_mesh", "triangle_crossings"],
     "repro.core.ospl.boundary": ["boundary_segments", "boundary_chains",
-                                 "boundary_edge_list"],
+                                 "boundary_edge_list", "boundary_pairs"],
     "repro.core.ospl.labels": ["Label", "format_level", "place_labels"],
     "repro.core.ospl.plot": ["ContourPlot", "conplt"],
     "repro.core.ospl.limits": ["OsplLimits", "STRICT_1970", "UNLIMITED"],

@@ -13,24 +13,32 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.fem.mesh import Mesh
-from repro.geometry.primitives import Segment
 
 
-def boundary_edge_list(mesh: Mesh) -> List[Tuple[int, int]]:
-    """Boundary edges whose endpoints the flags also call boundary."""
+def boundary_pairs(mesh: Mesh) -> Tuple[np.ndarray, np.ndarray]:
+    """Node arrays ``(a, b)`` of the boundary edges whose endpoints the
+    flags also call boundary, each edge in its first directed
+    occurrence, in edge-table order."""
     flags = mesh.flags()
     table = mesh.edge_table()
     sel = (table.count == 1) & (flags[table.a] > 0) & (flags[table.b] > 0)
-    return list(zip(table.a[sel].tolist(), table.b[sel].tolist()))
+    return table.a[sel], table.b[sel]
 
 
-def boundary_segments(mesh: Mesh) -> List[Segment]:
-    """The straight boundary strokes OSPL draws."""
-    return [
-        Segment(mesh.node_point(a), mesh.node_point(b))
-        for a, b in boundary_edge_list(mesh)
-    ]
+def boundary_edge_list(mesh: Mesh) -> List[Tuple[int, int]]:
+    """:func:`boundary_pairs` as a list of node pairs."""
+    a, b = boundary_pairs(mesh)
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def boundary_segments(mesh: Mesh) -> np.ndarray:
+    """The straight boundary strokes OSPL draws, as ``(B, 2, 2)``
+    endpoint coordinates (stroke, end, x/y)."""
+    a, b = boundary_pairs(mesh)
+    return np.stack((mesh.nodes[a], mesh.nodes[b]), axis=1)
 
 
 def boundary_chains(mesh: Mesh) -> List[List[int]]:

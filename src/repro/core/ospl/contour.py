@@ -9,7 +9,8 @@ pair; (4) a straight line is drawn between these end points."
 
 Each contour endpoint remembers the element edge (node pair) it lies on;
 that is what lets the label pass find intersections with the mesh
-boundary without any geometric searching.
+boundary without any geometric searching.  A :class:`ContourSet` keeps
+them as arrays per level (:class:`LevelSegments`), never per segment.
 """
 
 from __future__ import annotations
@@ -19,61 +20,29 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.errors import ContourError
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
-from repro.core.ospl.intervals import (
-    choose_interval,
-    classify_levels,
-    contour_levels,
-)
-from repro.geometry.clip import clip_segment
-from repro.geometry.primitives import BoundingBox, Point, Segment
-
-
-@dataclass(frozen=True)
-class ContourPoint:
-    """A contour endpoint on an element edge."""
-
-    point: Point
-    edge: Tuple[int, int]  # sorted node pair the point interpolates
-
-    @property
-    def x(self) -> float:
-        return self.point.x
-
-    @property
-    def y(self) -> float:
-        return self.point.y
-
-
-@dataclass(frozen=True)
-class ContourSegment:
-    """One straight isogram piece inside one element."""
-
-    level: float
-    start: ContourPoint
-    end: ContourPoint
-    element: int
-
-    def as_segment(self) -> Segment:
-        return Segment(self.start.point, self.end.point)
+from repro.core.ospl.intervals import classify_levels
+from repro.geometry.clip import clip_segments
+from repro.geometry.primitives import BoundingBox, Point
 
 
 def triangle_crossings(points: Sequence[Point], values: Sequence[float],
-                       level: float) -> List[ContourPoint]:
+                       level: float
+                       ) -> List[Tuple[Point, Tuple[int, int]]]:
     """The 0 or 2 points where ``level`` crosses the triangle's edges.
 
     Vertices exactly on the level are resolved by the half-open
     classification ``value >= level`` so that adjacent elements produce
-    consistent, crack-free polylines.  Node indices in the returned edges
-    are *local* (0, 1, 2); the mesh-level driver rewrites them.
+    consistent, crack-free polylines.  Each point comes with the sorted
+    *local* (0, 1, 2) corner pair of its edge.  :class:`ContourSet` is
+    this, batched; the tests hold the two together.
     """
     if len(points) != 3 or len(values) != 3:
         raise ContourError("triangle_crossings needs exactly 3 corners")
     above = [v >= level for v in values]
-    crossings: List[ContourPoint] = []
+    crossings: List[Tuple[Point, Tuple[int, int]]] = []
     for a, b in ((0, 1), (1, 2), (2, 0)):
         if above[a] == above[b]:
             continue
@@ -83,8 +52,31 @@ def triangle_crossings(points: Sequence[Point], values: Sequence[float],
             points[a].x + t * (points[b].x - points[a].x),
             points[a].y + t * (points[b].y - points[a].y),
         )
-        crossings.append(ContourPoint(p, (min(a, b), max(a, b))))
+        crossings.append((p, (min(a, b), max(a, b))))
     return crossings
+
+
+@dataclass(frozen=True)
+class LevelSegments:
+    """The isogram segments of one level, in ascending element order.
+
+    ``points[s, i]`` is end ``i`` (start, end) of segment ``s`` as
+    ``(x, y)``; ``edges[s, i]`` the sorted node pair of the edge it lies
+    on, ``(-1, -1)`` where the window clip moved it; ``elements[s]`` the
+    element it crosses.
+    """
+
+    points: np.ndarray
+    edges: np.ndarray
+    elements: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+_NO_SEGMENTS = LevelSegments(np.zeros((0, 2, 2)),
+                             np.zeros((0, 2, 2), dtype=np.int64),
+                             np.zeros(0, dtype=np.int64))
 
 
 class ContourSet:
@@ -98,8 +90,8 @@ class ContourSet:
         self.interval = interval
         self.levels = list(levels)
         self.window = window
-        self.segments_by_level: Dict[float, List[ContourSegment]] = {
-            level: [] for level in self.levels
+        self.segments_by_level: Dict[float, LevelSegments] = {
+            level: _NO_SEGMENTS for level in self.levels
         }
         self._extract()
 
@@ -110,7 +102,7 @@ class ContourSet:
         under the scalar driver loop -- same half-open ``value >= level``
         corner classification, same edge scan order (so the same
         start/end pairing), same pinch filter, same ascending element
-        order within each level's list.
+        order within each level's arrays.
         """
         if self.mesh.n_elements == 0 or not self.levels:
             return
@@ -142,73 +134,47 @@ class ContourSet:
             e_first = np.argmax(crossing, axis=1)
             e_second = 2 - np.argmax(crossing[:, ::-1], axis=1)
             p = corner_pts[idx]
+            t_rows = tri[idx]
 
             def endpoint(edge: np.ndarray) -> Tuple[np.ndarray, ...]:
-                a = edge_a[edge]
-                b = edge_b[edge]
-                va = v[rows, a]
-                vb = v[rows, b]
+                a, b = edge_a[edge], edge_b[edge]
+                va, vb = v[rows, a], v[rows, b]
                 t = (level - va) / (vb - va)
                 ax, ay = p[rows, a, 0], p[rows, a, 1]
                 bx, by = p[rows, b, 0], p[rows, b, 1]
-                return ax + t * (bx - ax), ay + t * (by - ay), a, b
+                ga, gb = t_rows[rows, a], t_rows[rows, b]
+                return (ax + t * (bx - ax), ay + t * (by - ay),
+                        np.minimum(ga, gb), np.maximum(ga, gb))
 
-            x1, y1, a1, b1 = endpoint(e_first)
-            x2, y2, a2, b2 = endpoint(e_second)
+            x1, y1, lo1, hi1 = endpoint(e_first)
+            x2, y2, lo2, hi2 = endpoint(e_second)
             keep = ~((np.abs(x1 - x2) < 1e-14)
                      & (np.abs(y1 - y2) < 1e-14))  # pinched to a vertex
             if not keep.any():
                 continue
-            t_rows = tri[idx]
-            g1a = t_rows[rows, a1]
-            g1b = t_rows[rows, b1]
-            g2a = t_rows[rows, a2]
-            g2b = t_rows[rows, b2]
-            out = self.segments_by_level[level]
-            for (e, sx, sy, sa, sb, ex, ey, ea, eb) in zip(
-                idx[keep].tolist(),
-                x1[keep].tolist(), y1[keep].tolist(),
-                np.minimum(g1a, g1b)[keep].tolist(),
-                np.maximum(g1a, g1b)[keep].tolist(),
-                x2[keep].tolist(), y2[keep].tolist(),
-                np.minimum(g2a, g2b)[keep].tolist(),
-                np.maximum(g2a, g2b)[keep].tolist(),
-            ):
-                seg = ContourSegment(
-                    level=level,
-                    start=ContourPoint(Point(sx, sy), (sa, sb)),
-                    end=ContourPoint(Point(ex, ey), (ea, eb)),
-                    element=e,
-                )
-                clipped = self._clip(seg)
-                if clipped is not None:
-                    out.append(clipped)
-
-    def _clip(self, seg: ContourSegment) -> Optional[ContourSegment]:
-        if self.window is None:
-            return seg
-        clipped = clip_segment(seg.as_segment(), self.window)
-        if clipped is None:
-            return None
-        # Endpoints moved by clipping lose their edge identity (they now
-        # sit on the window, not a mesh edge); keep the original edge
-        # only for unmoved endpoints.
-        start = seg.start if clipped.start == seg.start.point else (
-            ContourPoint(clipped.start, (-1, -1))
-        )
-        end = seg.end if clipped.end == seg.end.point else (
-            ContourPoint(clipped.end, (-1, -1))
-        )
-        return ContourSegment(seg.level, start, end, seg.element)
+            points = np.stack((x1, y1, x2, y2), axis=1)[keep]
+            edges = np.stack((lo1, hi1, lo2, hi2), axis=1)[keep]
+            elements = idx[keep]
+            if self.window is not None:
+                # An endpoint the clip moved sits on the window, not on
+                # a mesh edge: its edge pair becomes (-1, -1).
+                ok, *ends = clip_segments(*points.T, self.window)
+                clipped = np.stack(ends, axis=1)[ok]
+                moved = (clipped != points[ok]).reshape(-1, 2, 2).any(2)
+                points, edges, elements = clipped, edges[ok], elements[ok]
+                edges.reshape(-1, 2, 2)[moved] = -1
+            if len(elements):
+                self.segments_by_level[level] = LevelSegments(
+                    points.reshape(-1, 2, 2), edges.reshape(-1, 2, 2),
+                    elements)
 
     # ------------------------------------------------------------------
-    def all_segments(self) -> List[ContourSegment]:
-        return [
-            seg for level in self.levels
-            for seg in self.segments_by_level[level]
-        ]
+    def all_points(self) -> np.ndarray:
+        """Every segment's ``(2, 2)`` endpoints, level by level."""
+        return np.concatenate([_NO_SEGMENTS.points] + [
+            segs.points for segs in self.segments_by_level.values()])
 
-    def segments_at(self, level: float) -> List[ContourSegment]:
+    def segments_at(self, level: float) -> LevelSegments:
         try:
             return self.segments_by_level[level]
         except KeyError:
@@ -218,15 +184,7 @@ class ContourSet:
         return sum(len(v) for v in self.segments_by_level.values())
 
     def nonempty_levels(self) -> List[float]:
-        return [
-            level for level in self.levels if self.segments_by_level[level]
-        ]
-
-
-def _globalise(c: ContourPoint, tri: np.ndarray) -> ContourPoint:
-    a, b = c.edge
-    ga, gb = int(tri[a]), int(tri[b])
-    return ContourPoint(c.point, (min(ga, gb), max(ga, gb)))
+        return [lv for lv in self.levels if len(self.segments_by_level[lv])]
 
 
 def contour_mesh(mesh: Mesh, field: NodalField,
@@ -237,30 +195,14 @@ def contour_mesh(mesh: Mesh, field: NodalField,
 
     ``interval`` of ``None`` (the DELTA = 0 card option) engages the
     Appendix-D automatic choice.  ``window`` restricts the plot ("zoom").
+    Runs the intervals and contour stages of :mod:`repro.pipeline.ospl`.
     """
-    if field.n_nodes != mesh.n_nodes:
-        raise ContourError(
-            f"field has {field.n_nodes} values for a mesh of "
-            f"{mesh.n_nodes} nodes"
-        )
-    if obs.health_enabled():
-        from repro.obs.health import field_health
+    from repro.core.ospl.limits import UNLIMITED
+    from repro.pipeline.ospl import contour_pipeline
 
-        # Published before interval choice so a degenerate field (zero
-        # range, NaNs) leaves its diagnosis behind even when
-        # choose_interval then refuses to contour it.
-        obs.health("ospl.field", field_health(field.values, name=field.name))
-    with obs.span("ospl.intervals", automatic=interval in (None, 0.0)):
-        if interval is None or interval == 0.0:
-            interval = choose_interval(field.min(), field.max())
-        levels = contour_levels(field.min(), field.max(), interval,
-                                lowest=lowest)
-    with obs.span("ospl.contour", elements=mesh.n_elements,
-                  levels=len(levels)):
-        contours = ContourSet(mesh, field, interval, levels, window=window)
-    obs.count("ospl.contour_segments", contours.n_segments())
-    if obs.enabled():
-        for level in contours.levels:
-            obs.observe("ospl.segments_per_level",
-                        len(contours.segments_by_level[level]))
+    result = contour_pipeline().run({
+        "mesh": mesh, "field": field, "interval": interval,
+        "lowest": lowest, "window": window, "limits": UNLIMITED,
+    })
+    contours: ContourSet = result["contours"]
     return contours

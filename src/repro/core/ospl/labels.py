@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.ospl.boundary import boundary_edge_list
+import numpy as np
+
+from repro.core.ospl.boundary import boundary_pairs
 from repro.core.ospl.contour import ContourSet
 from repro.plotter.device import CoordinateMap
 from repro.plotter.text import boxes_overlap, text_box
@@ -55,40 +57,58 @@ def boundary_label_candidates(contours: ContourSet) -> List[Label]:
 
     One candidate is produced per (level, boundary crossing point); the
     crossing is detected by the endpoint's element edge being a boundary
-    edge.  Clipped endpoints (edge ``(-1, -1)``) sit on the zoom window
-    and also qualify.
+    edge (its ``lo * n + hi`` key is a boundary row's).  Clipped
+    endpoints (edge ``(-1, -1)``) sit on the zoom window and also qualify.
     """
     mesh = contours.mesh
-    boundary = {(min(a, b), max(a, b)) for a, b in boundary_edge_list(mesh)}
-    flags = mesh.flags()
+    n = mesh.n_nodes
+    a, b = (v.astype(np.int64) for v in boundary_pairs(mesh))
+    # Sorted, with a sentinel above every real key for the lookups.
+    boundary_keys = np.sort(np.append(np.minimum(a, b) * n + np.maximum(a, b),
+                                      np.iinfo(np.int64).max))
+    flagged = mesh.nodes[mesh.flags() > 0]
     # A crossing at a parameter of exactly 0 or 1 lands on a node and may
     # be recorded against an *interior* edge; those still intersect the
-    # outline when the node itself is a boundary node.
+    # outline when the node itself is a boundary node.  The test is the
+    # ``round(v, 9)`` key of the node, with Python's rounding.
     boundary_node_keys = {
-        (round(float(mesh.nodes[n, 0]), 9), round(float(mesh.nodes[n, 1]), 9))
-        for n in range(mesh.n_nodes) if flags[n] > 0
+        (round(x, 9), round(y, 9)) for x, y in flagged.tolist()
     }
     candidates: List[Label] = []
     seen: set = set()
     for level in contours.levels:
-        for seg in contours.segments_at(level):
-            for endpoint in (seg.start, seg.end):
-                on_window = endpoint.edge == (-1, -1)
-                on_node = (
-                    round(endpoint.x, 9), round(endpoint.y, 9)
-                ) in boundary_node_keys
-                if not on_window and not on_node \
-                        and endpoint.edge not in boundary:
-                    continue
-                key = (level, round(endpoint.x, 9), round(endpoint.y, 9))
-                if key in seen:
-                    continue
-                seen.add(key)
-                candidates.append(Label(
-                    level=level, x=endpoint.x, y=endpoint.y,
-                    text=format_level(level),
-                ))
+        segs = contours.segments_at(level)
+        points = segs.points.reshape(-1, 2)
+        edges = segs.edges.reshape(-1, 2).astype(np.int64)
+        keys = edges[:, 0] * n + edges[:, 1]
+        on_line = (edges[:, 0] == -1) \
+            | (boundary_keys[np.searchsorted(boundary_keys, keys)] == keys)
+        rows = np.nonzero(on_line | _near_nodes(points, flagged))[0]
+        text = format_level(level)
+        for (x, y), sure in zip(points[rows].tolist(),
+                                on_line[rows].tolist()):
+            xy = (round(x, 9), round(y, 9))
+            if not sure and xy not in boundary_node_keys:
+                continue
+            key = (level, *xy)
+            if key in seen:
+                continue
+            seen.add(key)
+            candidates.append(Label(level=level, x=x, y=y, text=text))
     return candidates
+
+
+def _near_nodes(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """A superset of the points whose ``round(v, 9)`` key is a node's:
+    equal keys lie within 1e-9 (and a few ULP) of each other, so keep a
+    point whose x and y each lie that close to some node's."""
+    near = np.ones(len(points), dtype=bool)
+    for v, values in zip(points.T, np.sort(nodes, axis=0).T):
+        scale = np.maximum(np.abs(v), np.abs(values).max(initial=0.0))
+        tol = 1.5e-9 + 8.0 * np.spacing(scale)
+        near &= np.searchsorted(values, v + tol, side="right") \
+            > np.searchsorted(values, v - tol, side="left")
+    return near
 
 
 def place_labels(contours: ContourSet, cmap: CoordinateMap,

@@ -72,17 +72,15 @@ def plot_deformed(mesh: Mesh, displacements: np.ndarray,
     frame = plotter.advance(title or "DEFORMED SHAPE")
     cmap = CoordinateMap(world, margin=90)
 
-    # Undeformed boundary outline for context.
-    for a, b in mesh.boundary_edges():
-        x0, y0 = cmap.to_raster(*mesh.nodes[a])
-        x1, y1 = cmap.to_raster(*mesh.nodes[b])
-        plotter.vector(x0, y0, x1, y1)
-    # Deformed mesh, every unique edge.
+    # Undeformed boundary outline for context, then the deformed mesh,
+    # every unique edge.
     table = mesh.edge_table()
-    for a, b in zip(table.lo.tolist(), table.hi.tolist()):
-        x0, y0 = cmap.to_raster(*moved[a])
-        x1, y1 = cmap.to_raster(*moved[b])
-        plotter.vector(x0, y0, x1, y1)
+    lone = table.count == 1
+    for pts, a, b in ((mesh.nodes, table.a[lone], table.b[lone]),
+                      (moved, table.lo, table.hi)):
+        x0, y0 = cmap.to_raster(pts[a, 0], pts[a, 1])
+        x1, y1 = cmap.to_raster(pts[b, 0], pts[b, 1])
+        plotter.vectors(x0, y0, x1, y1)
     if title:
         plotter.text(90, 40, title.upper(), size=12)
     plotter.text(90, 20, f"DEFORMATIONS MAGNIFIED {scale:.0f}X", size=10)

@@ -37,7 +37,7 @@ from repro.geometry.interpolate import (
     place_along_arc,
     place_along_path,
 )
-from repro.geometry.clip import clip_segment, OutCode
+from repro.geometry.clip import clip_segment, clip_segments, OutCode
 
 __all__ = [
     "Point",
@@ -60,5 +60,6 @@ __all__ = [
     "place_along_arc",
     "place_along_path",
     "clip_segment",
+    "clip_segments",
     "OutCode",
 ]

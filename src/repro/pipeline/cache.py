@@ -39,7 +39,8 @@ from repro._version import __version__
 from repro.errors import PipelineError
 
 #: Stage-entry format version (bump to orphan old entries wholesale).
-STAGE_SCHEMA = "repro.stage-cache/v1"
+#: v2: a ContourSet holds per-level arrays, not segment objects.
+STAGE_SCHEMA = "repro.stage-cache/v2"
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core.ospl.boundary import boundary_segments
 from repro.core.ospl.contour import ContourSet
@@ -37,7 +39,7 @@ from repro.core.ospl.limits import OsplLimits
 from repro.errors import ContourError
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
-from repro.geometry.clip import clip_segment
+from repro.geometry.clip import clip_segments
 from repro.pipeline.cache import stable_digest
 from repro.pipeline.context import Context
 from repro.pipeline.runner import Pipeline
@@ -170,21 +172,16 @@ def plot_stage(ctx: Context) -> Dict[str, Any]:
     label_size: int = ctx["label_size"]
     plotter = ctx["plotter"] or Plotter4020()
     frame = plotter.advance(title or field.name)
-    # Boundary outline first (clipped to the zoom window when present).
-    for seg in boundary_segments(mesh):
-        if window is not None:
-            clipped = clip_segment(seg, window)
-            if clipped is None:
-                continue
-            seg = clipped
-        x0, y0 = cmap.to_raster(seg.start.x, seg.start.y)
-        x1, y1 = cmap.to_raster(seg.end.x, seg.end.y)
-        plotter.vector(x0, y0, x1, y1)
-    # Isograms.
-    for seg in contours.all_segments():
-        x0, y0 = cmap.to_raster(seg.start.x, seg.start.y)
-        x1, y1 = cmap.to_raster(seg.end.x, seg.end.y)
-        plotter.vector(x0, y0, x1, y1)
+    # Boundary outline first (clipped to the zoom window when present),
+    # then the isograms (clipped when they were extracted).
+    outline = boundary_segments(mesh).reshape(-1, 4).T
+    if window is not None:
+        keep, *ends = clip_segments(*outline, window)
+        outline = np.stack(ends)[:, keep]
+    for strokes in (outline, contours.all_points().reshape(-1, 4).T):
+        x0, y0 = cmap.to_raster(strokes[0], strokes[1])
+        x1, y1 = cmap.to_raster(strokes[2], strokes[3])
+        plotter.vectors(x0, y0, x1, y1)
     # Labels.
     write = plotter.stroke_text if ctx["stroke_labels"] else plotter.text
     for lab in ctx["labels"]:
@@ -211,6 +208,13 @@ CONPLT_INPUTS: Tuple[str, ...] = (
 
 _COMPUTE_STAGES = (intervals_stage, contour_stage, labels_stage,
                    plot_stage)
+
+
+def contour_pipeline() -> Pipeline:
+    """intervals -> contour: the isograms alone, no labels or plot."""
+    return Pipeline("ospl", [intervals_stage, contour_stage],
+                    inputs=("mesh", "field", "interval", "lowest", "window",
+                            "limits"))
 
 
 def conplt_pipeline() -> Pipeline:

@@ -16,16 +16,21 @@ clip, with a strict mode that raises instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import starmap
+from typing import List, Optional, Sequence, Tuple, TypeVar, Union
+
+import numpy as np
 
 from repro.errors import PlotterError
-from repro.geometry.clip import clip_segment
-from repro.geometry.primitives import BoundingBox, Point, Segment
+from repro.geometry.clip import clip_segments
+from repro.geometry.primitives import BoundingBox, Point
 
 #: Addressable positions per axis on the SC-4020 CRT.
 RASTER_SIZE = 1024
 
-_RASTER_BOX = BoundingBox(0.0, 0.0, float(RASTER_SIZE - 1), float(RASTER_SIZE - 1))
+_RASTER_MAX = float(RASTER_SIZE - 1)
+_RASTER_BOX = BoundingBox(0.0, 0.0, _RASTER_MAX, _RASTER_MAX)
+Coord = TypeVar("Coord", float, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -122,26 +127,36 @@ class Plotter4020:
     # ------------------------------------------------------------------
     # Drawing primitives (raster coordinates)
     # ------------------------------------------------------------------
+    def vectors(self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray,
+                y1: np.ndarray) -> None:
+        """Expose a batch of strokes, in order, clipping to the raster.
+
+        The same as one :meth:`vector` call per row: in strict mode the
+        rows before the first off-raster endpoint are drawn and that
+        endpoint raises; the pen is left at the last drawn end point.
+        """
+        ends = np.column_stack((x0, y0, x1, y1)).astype(float)
+        bad: Optional[np.ndarray] = None
+        if self.strict:
+            off = ~((ends >= 0.0) & (ends <= _RASTER_MAX)).reshape(-1, 2, 2)
+            off_rows = np.nonzero(off.any(axis=(1, 2)))[0]
+            if len(off_rows):
+                row = off_rows[0]
+                bad = ends[row].reshape(2, 2)[int(not off[row, 0].any())]
+                ends = ends[:row]
+        keep, *clipped = clip_segments(*ends.T, _RASTER_BOX)
+        rows = np.rint(np.stack(clipped, axis=1)[keep]).astype(np.int64)
+        ops = list(starmap(VectorOp, rows.tolist()))
+        if ops:
+            self.frame.ops.extend(ops)
+            self._pen = (ops[-1].x1, ops[-1].y1)
+        if bad is not None:
+            raise PlotterError(f"beam driven off raster to ({bad[0]:g}, "
+                               f"{bad[1]:g})")
+
     def vector(self, x0: float, y0: float, x1: float, y1: float) -> None:
         """Expose a straight stroke, clipping to the raster."""
-        if self.strict:
-            for x, y in ((x0, y0), (x1, y1)):
-                if not _RASTER_BOX.contains(Point(x, y)):
-                    raise PlotterError(
-                        f"beam driven off raster to ({x:g}, {y:g})"
-                    )
-        clipped = clip_segment(
-            Segment(Point(float(x0), float(y0)), Point(float(x1), float(y1))),
-            _RASTER_BOX,
-        )
-        if clipped is None:
-            return
-        op = VectorOp(
-            int(round(clipped.start.x)), int(round(clipped.start.y)),
-            int(round(clipped.end.x)), int(round(clipped.end.y)),
-        )
-        self.frame.ops.append(op)
-        self._pen = (op.x1, op.y1)
+        self.vectors(*np.array([[x0], [y0], [x1], [y1]], dtype=float))
 
     def move_to(self, x: float, y: float) -> None:
         """Position the beam without exposing."""
@@ -156,12 +171,13 @@ class Plotter4020:
         self._pen = (int(round(x)), int(round(y)))
 
     def polyline(self, points: Sequence[Tuple[float, float]]) -> None:
-        """Stroke a connected sequence of raster points."""
+        """Stroke a connected sequence of raster points (one batch)."""
         if not points:
             return
-        self.move_to(points[0][0], points[0][1])
-        for x, y in points[1:]:
-            self.draw_to(x, y)
+        self.move_to(*points[0])
+        pts = np.asarray(points, dtype=float)
+        self.vectors(*np.rint(pts[:-1]).T, *pts[1:].T)
+        self.move_to(*points[-1])
 
     def point(self, x: float, y: float) -> None:
         """Expose a single raster point."""
@@ -224,8 +240,8 @@ class CoordinateMap:
         self._ox = margin + 0.5 * (avail - self.scale * w)
         self._oy = margin + 0.5 * (avail - self.scale * h)
 
-    def to_raster(self, x: float, y: float) -> Tuple[float, float]:
-        """Map a world point to raster coordinates (y grows upward)."""
+    def to_raster(self, x: Coord, y: Coord) -> Tuple[Coord, Coord]:
+        """Map world points (floats or arrays) to the raster, y upward."""
         return (
             self._ox + (x - self.world.xmin) * self.scale,
             self._oy + (y - self.world.ymin) * self.scale,

@@ -7,8 +7,9 @@ This module keeps those loops alive, written in the most literal scalar
 form, so the cross-check suite (``test_kernel_crosscheck.py``) can
 assert on *randomized* inputs -- not just the fixed golden corpus --
 that the batched kernels compute bit-for-bit the same meshes, shapes,
-swaps, element quality, edge tables, Cuthill-McKee orders and
-contour segments.
+swaps, element quality, edge tables, Cuthill-McKee orders, contour
+segments, clipped segments, label candidates, plotter strokes and
+listing tables.
 
 Everything here trades speed for obviousness: Python loops, dicts and
 tuples only, numpy used purely as a container.  Do not import these
@@ -28,7 +29,7 @@ from repro.core.idlz.subdivision import LatticePoint, Subdivision
 from repro.errors import MeshError
 from repro.fem.mesh import Mesh
 from repro.geometry.interpolate import place_along_path
-from repro.geometry.primitives import Point
+from repro.geometry.primitives import BoundingBox, Point
 
 Triangle = Tuple[int, int, int]
 
@@ -363,10 +364,16 @@ def scalar_reform(mesh: Mesh, max_passes: int = 20) -> int:
 # ----------------------------------------------------------------------
 
 def _sides(a, b, c) -> Tuple[float, float, float]:
+    """Side lengths by ``np.hypot`` on scalars, as :func:`_min_angle`.
+
+    ``math.hypot`` rounds differently from libm's ``hypot`` in the last
+    place now and then, and one such side moved an aspect ratio by
+    6 ULP; with the same hypot the measures agree bit for bit.
+    """
     return (
-        math.hypot(c[0] - b[0], c[1] - b[1]),
-        math.hypot(a[0] - c[0], a[1] - c[1]),
-        math.hypot(b[0] - a[0], b[1] - a[1]),
+        float(np.hypot(c[0] - b[0], c[1] - b[1])),
+        float(np.hypot(a[0] - c[0], a[1] - c[1])),
+        float(np.hypot(b[0] - a[0], b[1] - a[1])),
     )
 
 
@@ -532,15 +539,21 @@ def scalar_permutation(order: Sequence[int]) -> List[int]:
 # ----------------------------------------------------------------------
 
 def scalar_extract_contours(
-    mesh: Mesh, values: Sequence[float], levels: Sequence[float]
+    mesh: Mesh, values: Sequence[float], levels: Sequence[float],
+    window=None,
 ) -> Dict[float, List[Tuple[float, ...]]]:
     """Per-element, per-level contour extraction.
 
-    Returns, per level, the segment tuples
-    ``(element, sx, sy, sa, sb, ex, ey, ea, eb)`` with sorted global
-    edge node pairs -- the flat form the cross-check compares against
-    :class:`repro.core.ospl.contour.ContourSet`.
+    Drives :func:`repro.core.ospl.contour.triangle_crossings` one
+    element at a time, globalises its edges, drops pinched segments and
+    clips to ``window`` with :func:`scalar_clip_segment`.  Returns, per
+    level, the segment tuples ``(element, sx, sy, sa, sb, ex, ey, ea,
+    eb)`` with sorted global edge node pairs (``-1, -1`` where the clip
+    moved the endpoint) -- the flat form the cross-check compares
+    against :class:`repro.core.ospl.contour.ContourSet`.
     """
+    from repro.core.ospl.contour import triangle_crossings
+
     out: Dict[float, List[Tuple[float, ...]]] = {
         level: [] for level in levels
     }
@@ -551,25 +564,174 @@ def scalar_extract_contours(
         for level in levels:
             if not (lo <= level <= hi):
                 continue
-            above = [v >= level for v in vals]
-            crossings = []
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                if above[a] == above[b]:
-                    continue
-                t = (level - vals[a]) / (vals[b] - vals[a])
-                crossings.append((
-                    pts[a].x + t * (pts[b].x - pts[a].x),
-                    pts[a].y + t * (pts[b].y - pts[a].y),
-                    a, b,
-                ))
+            crossings = triangle_crossings(pts, vals, level)
             if len(crossings) != 2:
                 continue
-            (sx, sy, sa, sb), (ex, ey, ea, eb) = crossings
-            if abs(sx - ex) < 1e-14 and abs(sy - ey) < 1e-14:
+            (p, (sa, sb)), (q, (ea, eb)) = crossings
+            if abs(p.x - q.x) < 1e-14 and abs(p.y - q.y) < 1e-14:
                 continue
             g1 = sorted((tri[sa], tri[sb]))
             g2 = sorted((tri[ea], tri[eb]))
+            row = (float(p.x), float(p.y), float(q.x), float(q.y))
+            if window is not None:
+                clipped = scalar_clip_segment(*row, window)
+                if clipped is None:
+                    continue
+                if clipped[:2] != row[:2]:
+                    g1 = [-1, -1]
+                if clipped[2:] != row[2:]:
+                    g2 = [-1, -1]
+                row = clipped
             out[level].append(
-                (e, sx, sy, g1[0], g1[1], ex, ey, g2[0], g2[1])
+                (e, row[0], row[1], g1[0], g1[1], row[2], row[3],
+                 g2[0], g2[1])
             )
     return out
+
+
+def scalar_label_candidates(
+    mesh: Mesh, segments: Dict[float, List[Tuple[float, ...]]],
+) -> List[Tuple[float, float, float]]:
+    """The per-endpoint boundary test, on :func:`scalar_extract_contours`
+    rows: ``(level, x, y)`` of every endpoint on a boundary edge, on the
+    window or (by its ``round(v, 9)`` key) on a boundary node, first
+    occurrence per key."""
+    flags = mesh.flags()
+    counts: Dict[Tuple[int, int], int] = {}
+    for tri in mesh.elements.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    boundary = {
+        key for key, count in counts.items()
+        if count == 1 and flags[key[0]] > 0 and flags[key[1]] > 0
+    }
+    boundary_node_keys = {
+        (round(float(mesh.nodes[n, 0]), 9), round(float(mesh.nodes[n, 1]), 9))
+        for n in range(mesh.n_nodes) if flags[n] > 0
+    }
+    out: List[Tuple[float, float, float]] = []
+    seen: set = set()
+    for level, rows in segments.items():
+        for _, sx, sy, sa, sb, ex, ey, ea, eb in rows:
+            for x, y, edge in ((sx, sy, (sa, sb)), (ex, ey, (ea, eb))):
+                on_window = edge == (-1, -1)
+                on_node = (round(x, 9), round(y, 9)) in boundary_node_keys
+                if not on_window and not on_node and edge not in boundary:
+                    continue
+                key = (level, round(x, 9), round(y, 9))
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append((level, x, y))
+    return out
+
+
+# ----------------------------------------------------------------------
+# Cohen-Sutherland clipping
+# ----------------------------------------------------------------------
+
+_LEFT, _RIGHT, _BOTTOM, _TOP = 1, 2, 4, 8
+
+
+def _outcode(x: float, y: float, box) -> int:
+    code = 0
+    if x < box.xmin:
+        code |= _LEFT
+    elif x > box.xmax:
+        code |= _RIGHT
+    if y < box.ymin:
+        code |= _BOTTOM
+    elif y > box.ymax:
+        code |= _TOP
+    return code
+
+
+def _intersect(x0: float, y0: float, x1: float, y1: float, out: int,
+               box) -> Tuple[float, float]:
+    """Intersection of the segment with the window edge named by ``out``."""
+    if out & _TOP:
+        t = (box.ymax - y0) / (y1 - y0)
+        return (x0 + t * (x1 - x0), box.ymax)
+    if out & _BOTTOM:
+        t = (box.ymin - y0) / (y1 - y0)
+        return (x0 + t * (x1 - x0), box.ymin)
+    if out & _RIGHT:
+        t = (box.xmax - x0) / (x1 - x0)
+        return (box.xmax, y0 + t * (y1 - y0))
+    t = (box.xmin - x0) / (x1 - x0)
+    return (box.xmin, y0 + t * (y1 - y0))
+
+
+def scalar_clip_segment(x0: float, y0: float, x1: float, y1: float,
+                        box) -> Optional[Tuple[float, float, float, float]]:
+    """The per-segment Cohen-Sutherland loop; ``None`` when outside.
+
+    After 16 clipping steps a segment is cycling between two window
+    edges; it is kept with its endpoints clamped onto the window.
+    """
+    code0 = _outcode(x0, y0, box)
+    code1 = _outcode(x1, y1, box)
+    for steps in range(17):
+        if not (code0 | code1):
+            return (x0, y0, x1, y1)
+        if code0 & code1:
+            return None
+        if steps == 16:
+            break
+        out = code0 if code0 else code1
+        x, y = _intersect(x0, y0, x1, y1, out, box)
+        if out == code0:
+            x0, y0 = x, y
+            code0 = _outcode(x0, y0, box)
+        else:
+            x1, y1 = x, y
+            code1 = _outcode(x1, y1, box)
+    return (min(max(x0, box.xmin), box.xmax), min(max(y0, box.ymin), box.ymax),
+            min(max(x1, box.xmin), box.xmax), min(max(y1, box.ymin), box.ymax))
+
+
+# ----------------------------------------------------------------------
+# The SC-4020 vector call and the printed listing
+# ----------------------------------------------------------------------
+
+_RASTER_MAX = 1023.0
+_RASTER_BOX = BoundingBox(0.0, 0.0, _RASTER_MAX, _RASTER_MAX)
+
+
+def scalar_vector_ops(rows: Sequence[Tuple[float, float, float, float]],
+                      strict: bool = False
+                      ) -> Tuple[List[Tuple[int, int, int, int]],
+                                 Optional[str]]:
+    """One clip-and-round per stroke, as the plotter's per-call vector.
+
+    Returns the ``(x0, y0, x1, y1)`` ops drawn and, in strict mode, the
+    message of the off-raster fault that stopped the batch (else None).
+    """
+    ops: List[Tuple[int, int, int, int]] = []
+    for x0, y0, x1, y1 in rows:
+        if strict:
+            for x, y in ((x0, y0), (x1, y1)):
+                if not (0.0 <= x <= _RASTER_MAX and 0.0 <= y <= _RASTER_MAX):
+                    return ops, f"beam driven off raster to ({x:g}, {y:g})"
+        clipped = scalar_clip_segment(float(x0), float(y0), float(x1),
+                                      float(y1), _RASTER_BOX)
+        if clipped is not None:
+            ops.append(tuple(int(round(v)) for v in clipped))
+    return ops, None
+
+
+def scalar_listing_tables(mesh: Mesh) -> List[str]:
+    """The node and element tables of the IDLZ listing, row by row."""
+    lines = [" NODE        X            Y      BDY"]
+    flags = mesh.flags()
+    for n in range(mesh.n_nodes):
+        x, y = mesh.nodes[n]
+        lines.append(f"{n + 1:5d}  {x:12.5f} {y:12.5f}  {flags[n]:3d}")
+    lines.append("")
+    lines.append(" ELEM   NODE1 NODE2 NODE3  GROUP")
+    for e in range(mesh.n_elements):
+        i, j, k = (int(v) + 1 for v in mesh.elements[e])
+        g = int(mesh.element_groups[e]) + 1
+        lines.append(f"{e + 1:5d}  {i:5d} {j:5d} {k:5d}  {g:5d}")
+    return lines

@@ -9,16 +9,19 @@ reimplementations of the per-node/per-element loops kept alive in
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.idlz.elements import create_elements, triangulate_strip
 from repro.core.idlz.grid import LatticeGrid
+from repro.core.idlz.output import print_listing
 from repro.core.idlz.reform import reform_elements
-from repro.core.idlz.shaping import Shaper
+from repro.core.idlz.shaping import Shaper, ShapingSegment
+from repro.core.idlz.subdivision import Subdivision
 from repro.core.ospl.contour import ContourSet
 from repro.core.ospl.intervals import classify_levels, contour_levels
-from repro.errors import MeshError
+from repro.core.ospl.labels import boundary_label_candidates
+from repro.errors import MeshError, PlotterError
 from repro.fem.bandwidth import (
     cuthill_mckee,
     profile,
@@ -28,6 +31,10 @@ from repro.fem.bandwidth import (
 from repro.fem.mesh import Mesh
 from repro.fem.quality import triangle_measures, triangle_min_angles
 from repro.fem.results import NodalField
+from repro.geometry.clip import clip_segments
+from repro.geometry.primitives import BoundingBox
+from repro.pipeline.idlz import run_idealization
+from repro.plotter.device import Plotter4020
 
 from tests.deckgen import any_assemblage, chain_assemblages
 from tests import scalar_reference
@@ -35,12 +42,16 @@ from tests.scalar_reference import (
     scalar_create_elements,
     scalar_cuthill_mckee,
     scalar_edge_table,
+    scalar_clip_segment,
     scalar_extract_contours,
+    scalar_label_candidates,
+    scalar_listing_tables,
     scalar_number_lattice,
     scalar_permutation,
     scalar_profile,
     scalar_reform,
     scalar_shape,
+    scalar_vector_ops,
     scalar_zipper,
 )
 
@@ -183,12 +194,35 @@ def _check_quality_kernel(p):
         ref_aspect = _scalar_or_none(scalar_reference.aspect_ratio, a, b, c)
         assert m.flat[i] == (ref_aspect is None)
         if ref_aspect is not None:
-            np.testing.assert_array_max_ulp(m.aspect[i], ref_aspect, 4)
+            assert m.aspect[i] == ref_aspect
         ref_shape = _scalar_or_none(scalar_reference.shape_quality, a, b, c)
         if ref_shape is None:
             assert np.isnan(m.shape[i])
         else:
-            np.testing.assert_array_max_ulp(m.shape[i], ref_shape, 4)
+            assert m.shape[i] == ref_shape
+
+
+def _chain(span, y_bot, y_top, widths, rows):
+    """The :func:`tests.deckgen.chain_assemblages` draw with these values."""
+    ks = [1]
+    for w in widths:
+        ks.append(ks[-1] + w)
+    xs = [span * (k - 1) / (ks[-1] - 1) for k in ks]
+    subdivisions, segments = [], []
+    for i in range(len(widths)):
+        subdivisions.append(Subdivision(index=i + 1, kk1=ks[i], ll1=1,
+                                        kk2=ks[i + 1], ll2=1 + rows))
+        for l, ys in ((1, y_bot), (1 + rows, y_top)):
+            segments.append(ShapingSegment(i + 1, ks[i], l, ks[i + 1], l,
+                                           xs[i], ys[i], xs[i + 1],
+                                           ys[i + 1]))
+    return subdivisions, segments
+
+
+#: Reformed, one element's np.hypot side is 1 ULP off math.hypot's and
+#: its aspect ratio was 5 ULP off a math.hypot reference.
+HYPOT_CHAIN = _chain(7.74, [-0.61, -0.79, -0.21], [6.0, 6.0, 3.3166],
+                     widths=[1, 3], rows=4)
 
 
 class TestQualityCrossCheck:
@@ -202,6 +236,7 @@ class TestQualityCrossCheck:
         _check_quality_kernel(np.concatenate((rows, SPECIAL_ROWS)))
 
     @given(chain_assemblages())
+    @example(HYPOT_CHAIN)
     @settings(max_examples=20, deadline=None)
     def test_built_meshes_match_scalar_measures(self, assemblage):
         mesh = _build_mesh(*assemblage)
@@ -343,14 +378,54 @@ class TestContourCrossCheck:
         field = NodalField(name="crosscheck", values=values)
         contours = ContourSet(mesh, field, interval, levels)
         ref = scalar_extract_contours(mesh, values, levels)
-        for level in levels:
-            got = [
-                (seg.element,
-                 seg.start.x, seg.start.y, *seg.start.edge,
-                 seg.end.x, seg.end.y, *seg.end.edge)
-                for seg in contours.segments_by_level[level]
-            ]
-            assert got == [tuple(row) for row in ref[level]]
+        assert _contour_rows(contours) == ref
+
+    @given(chain_assemblages(), st.floats(0.5, 3.0),
+           st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_windowed_segments_and_labels_match_scalar_loops(
+        self, assemblage, interval, gx, gy, data
+    ):
+        mesh = _build_mesh(*assemblage)
+        reform_elements(mesh)
+        # Integer-valued fields put levels on nodes too (t of 0 or 1).
+        values = np.round(gx * mesh.nodes[:, 0] + gy * mesh.nodes[:, 1])
+        box = mesh.bounding_box()
+        fx = sorted(data.draw(st.lists(st.floats(-0.2, 1.2), min_size=2,
+                                       max_size=2)))
+        fy = sorted(data.draw(st.lists(st.floats(-0.2, 1.2), min_size=2,
+                                       max_size=2)))
+        window = data.draw(st.sampled_from([None, BoundingBox(
+            box.xmin + fx[0] * box.width, box.ymin + fy[0] * box.height,
+            box.xmin + fx[1] * box.width, box.ymin + fy[1] * box.height,
+        )]))
+        levels = contour_levels(float(values.min()), float(values.max()),
+                                interval)
+        field = NodalField(name="crosscheck", values=values)
+        contours = ContourSet(mesh, field, interval, levels, window=window)
+        ref = scalar_extract_contours(mesh, values, levels, window=window)
+        assert _contour_rows(contours) == ref
+        got = [(lab.level, lab.x, lab.y)
+               for lab in boundary_label_candidates(contours)]
+        assert got == scalar_label_candidates(mesh, ref)
+
+    def test_labels_on_boundary_nodes_and_window(self):
+        # A level through a row of nodes: its endpoints sit on nodes
+        # (interior edges, boundary nodes), and the window clips the rest.
+        nodes, elements = _lattice(np.random.default_rng(5), 4, 3)
+        mesh = Mesh(nodes=nodes, elements=elements)
+        values = mesh.nodes[:, 1] * 2.0 + mesh.nodes[:, 0] * 0.5
+        levels = [1.0, 2.0, 3.0, 4.0]
+        window = BoundingBox(0.5, -1.0, 3.25, 2.5)
+        field = NodalField(name="crosscheck", values=values)
+        for win in (None, window):
+            contours = ContourSet(mesh, field, 1.0, levels, window=win)
+            ref = scalar_extract_contours(mesh, values, levels, window=win)
+            assert _contour_rows(contours) == ref
+            got = [(lab.level, lab.x, lab.y)
+                   for lab in boundary_label_candidates(contours)]
+            assert got == scalar_label_candidates(mesh, ref)
+            assert got
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -370,3 +445,175 @@ class TestContourCrossCheck:
             expect = set(member)
             got = set(range(int(first[i]), int(stop[i])))
             assert got == expect
+
+
+def _contour_rows(contours):
+    """A ContourSet's arrays in the scalar reference's flat row form."""
+    out = {}
+    for level in contours.levels:
+        segs = contours.segments_by_level[level]
+        out[level] = [
+            (e, sx, sy, sa, sb, ex, ey, ea, eb)
+            for e, (sx, sy, ex, ey), (sa, sb, ea, eb) in zip(
+                segs.elements.tolist(),
+                segs.points.reshape(-1, 4).tolist(),
+                segs.edges.reshape(-1, 4).tolist())
+        ]
+    return out
+
+
+# ----------------------------------------------------------------------
+# Cohen-Sutherland clipping
+# ----------------------------------------------------------------------
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _check_clip(rows, box):
+    rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+    keep, x0, y0, x1, y1 = clip_segments(*rows.T, box)
+    for i, row in enumerate(rows.tolist()):
+        ref = scalar_clip_segment(*row, box)
+        assert keep[i] == (ref is not None), (row, box)
+        if ref is not None:
+            got = (x0[i], y0[i], x1[i], y1[i])
+            assert [_bits(v) for v in got] == [_bits(v) for v in ref], \
+                (row, box, got, ref)
+
+
+coords = st.floats(-20.0, 20.0, allow_nan=False)
+
+
+@st.composite
+def windows(draw):
+    xs = sorted(draw(st.lists(coords, min_size=2, max_size=2)))
+    ys = sorted(draw(st.lists(coords, min_size=2, max_size=2)))
+    if draw(st.booleans()):  # degenerate: zero width or height
+        if draw(st.booleans()):
+            xs[1] = xs[0]
+        else:
+            ys[1] = ys[0]
+    return BoundingBox(xs[0], ys[0], xs[1], ys[1])
+
+
+class TestClipCrossCheck:
+    @given(windows(), st.lists(st.tuples(coords, coords, coords, coords),
+                               min_size=1, max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_random_segments_bitwise_equal_scalar_loop(self, box, rows):
+        _check_clip(rows, box)
+
+    @given(windows(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_axis_parallel_and_on_window_segments(self, box, data):
+        edge_x = st.sampled_from([box.xmin, box.xmax])
+        edge_y = st.sampled_from([box.ymin, box.ymax])
+        rows = []
+        for _ in range(12):
+            x, y = data.draw(coords), data.draw(coords)
+            u, v = data.draw(coords), data.draw(coords)
+            rows.append((x, y, u, y))                    # horizontal
+            rows.append((x, y, x, v))                    # vertical
+            rows.append((data.draw(edge_x), y, u, v))    # start on x edge
+            rows.append((x, v, u, data.draw(edge_y)))    # end on y edge
+            rows.append((data.draw(edge_x), data.draw(edge_y), u, v))
+            rows.append((x, y, x, y))                    # a point
+        _check_clip(rows, box)
+
+    def test_seeded_segments_and_empty_batch(self):
+        rng = np.random.default_rng(11)
+        for box in (BoundingBox(-2.0, -1.0, 3.0, 2.5),
+                    BoundingBox(1.0, -1.0, 1.0, 2.0),
+                    BoundingBox(0.0, 0.0, 0.0, 0.0)):
+            _check_clip(rng.uniform(-6.0, 6.0, size=(500, 4)), box)
+        keep, *ends = clip_segments([], [], [], [], BoundingBox(0, 0, 1, 1))
+        assert keep.shape == (0,) and all(e.shape == (0,) for e in ends)
+
+
+# ----------------------------------------------------------------------
+# Batched plotter vectors
+# ----------------------------------------------------------------------
+
+def _ops(frame):
+    return [(op.x0, op.y0, op.x1, op.y1) for op in frame.vectors()]
+
+
+class TestPlotterVectorsCrossCheck:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_matches_per_stroke_calls(self, seed, strict):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-200.0, 1200.0, size=(300, 4))
+        rows[::5] = np.round(rows[::5]) + 0.5     # ties round half to even
+        if strict:
+            rows = np.clip(rows, 0.0, 1023.0)
+            rows[150 + seed, 3] = 1023.5          # the fault, mid-batch
+        ref_ops, ref_error = scalar_vector_ops(rows.tolist(), strict=strict)
+        batch = Plotter4020(strict=strict)
+        single = Plotter4020(strict=strict)
+        if ref_error is None:
+            batch.vectors(*rows.T)
+            for row in rows.tolist():
+                single.vector(*row)
+        else:
+            with pytest.raises(PlotterError) as caught:
+                batch.vectors(*rows.T)
+            assert str(caught.value) == ref_error
+            with pytest.raises(PlotterError):
+                for row in rows.tolist():
+                    single.vector(*row)
+        assert _ops(batch.frame) == _ops(single.frame) == ref_ops
+        assert batch._pen == single._pen
+        assert batch._pen == (ref_ops[-1][2:] if ref_ops else None)
+
+    def test_start_point_fault_and_empty_batch(self):
+        p = Plotter4020(strict=True)
+        p.vectors([], [], [], [])
+        assert p.frame.ops == [] and p._pen is None
+        with pytest.raises(PlotterError, match=r"\(-1, 5\)"):
+            p.vectors([1.0, -1.0], [2.0, 5.0], [3.0, 2000.0], [4.0, 6.0])
+        assert _ops(p.frame) == [(1, 2, 3, 4)]
+
+    def test_polyline_matches_draw_to_walk(self):
+        points = [(10.4, 10.5), (2000.0, 33.5), (500.5, 700.49),
+                  (-30.0, -30.0), (12.5, 1100.0), (12.5, 1100.0)]
+        batch, walk = Plotter4020(), Plotter4020()
+        batch.polyline(points)
+        walk.move_to(*points[0])
+        for x, y in points[1:]:
+            walk.draw_to(x, y)
+        assert _ops(batch.frame) == _ops(walk.frame)
+        assert batch._pen == walk._pen
+
+
+# ----------------------------------------------------------------------
+# The printed listing
+# ----------------------------------------------------------------------
+
+class TestListingCrossCheck:
+    @given(any_assemblage(), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_tables_match_per_row_formatter(self, assemblage, renumber):
+        ideal, _ = run_idealization("CROSSCHECK", *assemblage,
+                                    renumber=renumber)
+        ideal.mesh.nodes[::3] *= -1.0   # signs, and a -0.0 at the origin
+        listing = print_listing(ideal).splitlines()
+        tables = scalar_listing_tables(ideal.mesh)
+        start = listing.index(tables[0])
+        assert listing[start:] == tables
+
+
+def test_clip_terminates_on_a_segment_grazing_the_window_corner():
+    # TOP and RIGHT intersections each land a hair past the other edge,
+    # so the classic loop never settles; the clip keeps the segment with
+    # its free end clamped onto the corner.
+    box = BoundingBox(-18.229991966907946, -18.229991966907946,
+                      -1.0854981775947033e-125, -1.0854981775947033e-125)
+    row = (-18.229991966907946, -18.229991966907946,
+           -2.8522400676750587e-157, -1.401298464324817e-45)
+    _check_clip([row], box)
+    keep, x0, y0, x1, y1 = clip_segments(*np.array([row]).T, box)
+    assert keep[0]
+    assert (x0[0], y0[0], x1[0], y1[0]) == (box.xmin, box.ymin,
+                                            box.xmax, box.ymax)

@@ -130,8 +130,8 @@ class TestNearLimitMeshes:
         field = NodalField("f", mesh.nodes[:, 0] * 100.0)
         contours = contour_mesh(mesh, field, interval=10.0)
         for level in contours.nonempty_levels():
-            for seg in contours.segments_at(level):
-                assert seg.start.x == pytest.approx(level / 100.0)
+            xs = contours.segments_at(level).points[:, 0, 0]
+            assert xs == pytest.approx(np.full(xs.shape, level / 100.0))
 
     def test_large_banded_system_accuracy(self):
         # A 800-dof banded solve checked against scipy.

@@ -23,7 +23,7 @@ class TestTriangleCrossings:
 
     def test_interpolation_linear(self):
         crossings = triangle_crossings(self.TRI, [0.0, 10.0, 0.0], 5.0)
-        xs = sorted(c.x for c in crossings)
+        xs = sorted(point.x for point, _ in crossings)
         assert xs[0] == pytest.approx(1.0)
 
     def test_level_outside_misses(self):
@@ -40,7 +40,7 @@ class TestTriangleCrossings:
 
     def test_edge_identity_recorded(self):
         crossings = triangle_crossings(self.TRI, [0.0, 10.0, 0.0], 5.0)
-        edges = {c.edge for c in crossings}
+        edges = {edge for _, edge in crossings}
         assert edges == {(0, 1), (1, 2)}
 
     def test_wrong_arity_rejected(self):
@@ -76,13 +76,14 @@ class TestFigure12:
     def test_segment_endpoints_interpolate_values(self):
         mesh, field = self.make()
         contours = contour_mesh(mesh, field, interval=10.0)
-        (seg,) = contours.segments_at(20.0)
+        segs = contours.segments_at(20.0)
+        assert len(segs) == 1
         # Both endpoints must interpolate to exactly 20 along their edges.
-        for endpoint in (seg.start, seg.end):
-            a, b = endpoint.edge
+        for (x, y), (a, b) in zip(segs.points[0].tolist(),
+                                  segs.edges[0].tolist()):
             va, vb = field[a], field[b]
             pa, pb = mesh.node_point(a), mesh.node_point(b)
-            t_num = (endpoint.x - pa.x, endpoint.y - pa.y)
+            t_num = (x - pa.x, y - pa.y)
             denom = (pb.x - pa.x, pb.y - pa.y)
             t = (t_num[0] / denom[0]) if denom[0] else (t_num[1] / denom[1])
             assert va + t * (vb - va) == pytest.approx(20.0)
@@ -109,17 +110,15 @@ class TestContourMesh:
         mesh, field = self.make_grid()
         contours = contour_mesh(mesh, field, interval=25.0)
         for level in contours.nonempty_levels():
-            for seg in contours.segments_at(level):
-                assert seg.start.x == pytest.approx(level / 100.0)
-                assert seg.end.x == pytest.approx(level / 100.0)
+            xs = contours.segments_at(level).points[:, :, 0]
+            assert xs == pytest.approx(np.full(xs.shape, level / 100.0))
 
     def test_contours_span_the_mesh_height(self):
         mesh, field = self.make_grid()
         contours = contour_mesh(mesh, field, interval=50.0)
-        ys = [y for seg in contours.segments_at(50.0)
-              for y in (seg.start.y, seg.end.y)]
-        assert min(ys) == pytest.approx(0.0)
-        assert max(ys) == pytest.approx(1.0)
+        ys = contours.segments_at(50.0).points[:, :, 1]
+        assert ys.min() == pytest.approx(0.0)
+        assert ys.max() == pytest.approx(1.0)
 
     def test_auto_interval_engaged(self):
         mesh, field = self.make_grid()
@@ -130,15 +129,14 @@ class TestContourMesh:
         mesh, field = self.make_grid()
         window = BoundingBox(0.0, 0.0, 1.0, 0.5)
         contours = contour_mesh(mesh, field, interval=25.0, window=window)
-        for seg in contours.all_segments():
-            assert seg.start.y <= 0.5 + 1e-12
-            assert seg.end.y <= 0.5 + 1e-12
+        assert contours.n_segments() > 0
+        assert (contours.all_points()[:, :, 1] <= 0.5 + 1e-12).all()
 
     def test_window_drops_outside_segments(self):
         mesh, field = self.make_grid()
         window = BoundingBox(0.0, 0.0, 0.3, 1.0)
         contours = contour_mesh(mesh, field, interval=25.0, window=window)
-        assert contours.segments_at(75.0) == []
+        assert len(contours.segments_at(75.0)) == 0
 
     def test_field_size_mismatch_rejected(self):
         mesh, _ = self.make_grid()
@@ -159,10 +157,10 @@ class TestContourMesh:
         contours = contour_mesh(mesh, field, interval=10.0)
         for level in contours.nonempty_levels():
             counts = {}
-            for seg in contours.segments_at(level):
-                for endpoint in (seg.start, seg.end):
-                    key = (round(endpoint.x, 9), round(endpoint.y, 9))
-                    counts[key] = counts.get(key, 0) + 1
+            points = contours.segments_at(level).points
+            for x, y in points.reshape(-1, 2).tolist():
+                key = (round(x, 9), round(y, 9))
+                counts[key] = counts.get(key, 0) + 1
             interior = [k for k, v in counts.items() if v >= 2]
             boundary = [k for k, v in counts.items() if v == 1]
             # A straight diagonal contour: exactly two loose ends.

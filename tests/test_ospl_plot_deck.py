@@ -1,5 +1,7 @@
 """Integration tests for the OSPL driver (conplt) and the card deck."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,39 @@ class TestConpltOptions:
         conplt(mesh, field, plotter=plotter)
         plotter.drop_empty_frames()
         assert len(plotter.frames) == 2
+
+
+class TestWindowedDeck:
+    """A sheared-grid deck whose XMN/XMX/YMN/YMX window cuts the slanted
+    left side and the top of the outline, drops the bottom and right
+    sides, and clips isograms on every window edge.  The SVG must stay
+    byte for byte the snapshot taken before the clip went array-wide."""
+
+    DATA = Path(__file__).parent / "data"
+
+    def test_svg_matches_snapshot(self, tmp_path):
+        from repro.cli import main
+
+        svg = tmp_path / "windowed.svg"
+        code = main(["ospl", str(self.DATA / "windowed.ospl.deck"),
+                     "-o", str(svg), "-q"])
+        assert code == 0
+        assert svg.read_bytes() == \
+            (self.DATA / "windowed.ospl.svg").read_bytes()
+
+    def test_window_really_clips(self):
+        text = (self.DATA / "windowed.ospl.deck").read_text()
+        problem = read_ospl_deck(CardReader.from_text(text))
+        window = problem.window
+        clipped = conplt(problem.mesh, problem.field,
+                         interval=problem.delta, window=window)
+        full = conplt(problem.mesh, problem.field, interval=problem.delta)
+        assert clipped.n_segments() < full.n_segments()
+        points = clipped.contours.all_points()
+        on_window = (np.isin(points[:, :, 0], [window.xmin, window.xmax])
+                     | np.isin(points[:, :, 1], [window.ymin, window.ymax]))
+        assert on_window.sum() > 10
+        edges = np.concatenate([
+            clipped.contours.segments_at(level).edges
+            for level in clipped.contours.nonempty_levels()])
+        assert ((edges[:, :, 0] == -1) == on_window).all()

@@ -13,14 +13,20 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.batch import BatchOptions, discover_jobs, run_batch
+from repro.core.ospl.contour import ContourSet
+from repro.core.ospl.limits import UNLIMITED
 from repro.core.idlz.deck import IdlzProblem, write_idlz_deck
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
 from repro.pipeline import STAGE_SCHEMA, StageCache
+from repro.fem.mesh import Mesh
+from repro.fem.results import NodalField
 from repro.pipeline.idlz import run_idealization
+from repro.pipeline.ospl import conplt_pipeline
 
 from tests.golden_helpers import idealization_digest
 
@@ -141,6 +147,36 @@ class TestCorruption:
         path.write_bytes(pickle.dumps({"schema": STAGE_SCHEMA,
                                        "values": "not a dict"}))
         assert cache.lookup(key) is None
+
+    def test_v1_contour_entry_is_a_miss_not_an_error(self, tmp_path):
+        """A v1 entry holds a ContourSet of per-level segment lists; read
+        into today's class it would break the labels stage.  The schema
+        bump turns it into a miss and the rerun re-stores the entry."""
+        mesh = Mesh(nodes=np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0],
+                                    [0.0, 2.0]]),
+                    elements=np.array([[0, 1, 2], [0, 2, 3]]))
+        field = NodalField("S", np.array([0.0, 10.0, 20.0, 10.0]))
+        seeds = {"mesh": mesh, "field": field, "interval": 5.0,
+                 "lowest": None, "window": None, "limits": UNLIMITED,
+                 "title": "V1", "subtitle": "", "plotter": None,
+                 "label_size": 9, "stroke_labels": False}
+        cache = StageCache(tmp_path / "stages")
+        cold = conplt_pipeline().run(seeds, cache=cache)
+        key = next(r.key for r in cold.stages if r.stage == "ospl.contour")
+        stale = ContourSet.__new__(ContourSet)
+        stale.__dict__.update(vars(cold["contours"]))
+        stale.segments_by_level = {level: [] for level in stale.levels}
+        cache._path(key).write_bytes(pickle.dumps({
+            "schema": "repro.stage-cache/v1", "key": key,
+            "values": {"contours": stale},
+        }))
+        assert cache.lookup(key) is None
+        warm = conplt_pipeline().run(seeds, cache=cache)
+        statuses = {r.stage: r.cache for r in warm.stages}
+        assert statuses["ospl.intervals"] == "hit"
+        assert statuses["ospl.contour"] == "miss"
+        assert warm["frame"].ops == cold["frame"].ops
+        assert cache.lookup(key) is not None
 
     def test_unpicklable_outputs_degrade_to_uncached(self, tmp_path):
         cache = StageCache(tmp_path / "stages")

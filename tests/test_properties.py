@@ -154,12 +154,11 @@ class TestContourProperties:
         pts = [Point(0, 0), Point(4, 0), Point(0, 4)]
         values = list(values)
         crossings = triangle_crossings(pts, values, level)
-        for c in crossings:
-            a, b = c.edge
+        for point, (a, b) in crossings:
             va, vb = values[a], values[b]
             pa, pb = pts[a], pts[b]
             denom = math.hypot(pb.x - pa.x, pb.y - pa.y)
-            t = math.hypot(c.x - pa.x, c.y - pa.y) / denom
+            t = math.hypot(point.x - pa.x, point.y - pa.y) / denom
             assert va + t * (vb - va) == pytest.approx(level, abs=1e-6)
 
     @given(st.floats(0.1, 100), st.floats(0.1, 100))
