@@ -21,7 +21,7 @@ See docs/ANALYZE.md.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.analyze.deck": ["AnalyzeDeck", "AnalyzeSpec", "deck_fingerprint",
+    "repro.analyze.deck": ["AnalyzeDeck", "AnalyzeSpec",
                            "read_analyze_deck", "write_analyze_deck"],
     "repro.analyze.program": ["MANIFEST_SCHEMA", "AnalyzeRun", "run_analyze",
                               "run_analyze_files"],

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.cards.card import deck_fingerprint as _deck_fingerprint
 from repro.cards.parse import (
     ANALYSES,
     SECTION_FORMATS,
@@ -70,26 +69,6 @@ STRESS_PLOTS: Tuple[str, ...] = (
     "effective", "circumferential", "shear", "meridional", "radial",
     "axial", "principal_min",
 )
-
-
-def deck_fingerprint(text: str) -> str:
-    """Content fingerprint of an analyze deck blob (program tag
-    ``analyze``)."""
-    return _deck_fingerprint(text, "analyze")
-
-
-def has_analyze_header(text: str) -> bool:
-    """True when a card reads ``ANALYZE <family>`` -- the sentinel the
-    deck classifier keys on.
-
-    Both fields must match: an IDLZ title card that merely *starts*
-    with the word ANALYZE must not reclassify the deck.
-    """
-    for line in text.splitlines():
-        if (line[:8].strip().upper() == "ANALYZE"
-                and line[8:24].strip().upper() in ANALYSES):
-            return True
-    return False
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,9 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro import obs
 from repro._version import __version__
-from repro.analyze.deck import AnalyzeDeck, deck_fingerprint, read_analyze_deck
+from repro.analyze.deck import AnalyzeDeck, read_analyze_deck
 from repro.analyze.pipeline import analyze_problem_pipeline
+from repro.cards.card import deck_fingerprint
 from repro.cards.reader import CardReader
 from repro.core.idlz.limits import IdlzLimits
 from repro.core.idlz.limits import UNLIMITED as IDLZ_UNLIMITED
@@ -158,7 +159,7 @@ def run_analyze_files(deck_path: Union[str, Path],
         "schema": MANIFEST_SCHEMA,
         "meta": {
             "deck": str(deck_path),
-            "fingerprint": deck_fingerprint(text),
+            "fingerprint": deck_fingerprint(text, "analyze"),
             "code_version": __version__,
         },
         "analysis": run.analysis,

@@ -37,8 +37,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.batch.cache": ["ArtifactCache", "CacheEntry", "cache_key"],
     "repro.batch.corpus": ["dump_library"],
-    "repro.batch.jobs": ["JobSpec", "classify_deck_path",
-                         "classify_deck_text", "discover_jobs"],
+    "repro.batch.jobs": ["JobSpec", "classify_deck_path", "discover_jobs"],
     "repro.batch.manifest": ["EXIT_PARTIAL", "SCHEMA", "BatchManifest"],
     "repro.batch.runner": ["BatchOptions", "job_cache_key",
                            "job_fingerprint", "run_batch"],

@@ -3,8 +3,8 @@
 A cache entry is keyed by a canonical fingerprint of everything that can
 change a job's products:
 
-* the deck's content fingerprint (:func:`repro.core.idlz.deck.deck_fingerprint`
-  or its OSPL twin -- canonical card-tray bytes plus a program tag);
+* the deck's content fingerprint (:func:`repro.cards.card.deck_fingerprint`
+  -- canonical card-tray bytes plus a program tag);
 * the run options that alter behaviour (``strict``);
 * the code version (:data:`repro.__version__`), so upgrading the
   package invalidates every cached product at once.

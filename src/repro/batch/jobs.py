@@ -6,12 +6,8 @@ run options.  Specs are plain frozen dataclasses that serialise to
 dicts, so they cross the :class:`~concurrent.futures.ProcessPoolExecutor`
 boundary as cheap pickles.
 
-Deck classification leans on the card layouts themselves: an IDLZ deck
-opens with a type-1 ``(I5)`` card carrying only NSET in columns 1-5,
-while an OSPL deck opens with ``(2I5, 5F10.4)`` -- NE is mandatory, so
-column 6 onward is never blank.  An analyze deck is IDLZ-shaped but
-carries an ``ANALYZE <family>`` sentinel card further down (see
-:func:`repro.analyze.deck.has_analyze_header`).  Filename hints
+Deck classification leans on the card layouts themselves
+(:func:`repro.cards.parse.classify_deck`).  Filename hints
 (``name.idlz.deck`` / ``name.ospl.deck`` / ``name.analyze.deck``)
 override the sniff for decks that want to be explicit.
 """
@@ -24,10 +20,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.errors import BatchError
+from repro.cards.parse import PARSERS, classify_deck
+from repro.errors import BatchError, CardError
 
 #: Programs the batch engine can run.
-PROGRAMS = ("idlz", "ospl", "analyze")
+PROGRAMS = tuple(PARSERS)
 
 
 @dataclass(frozen=True)
@@ -63,33 +60,6 @@ class JobSpec:
         return cls(**data)
 
 
-def classify_deck_text(text: str) -> str:
-    """Decide whether a deck blob is an IDLZ, OSPL or analyze input."""
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        head = line[:5].strip()
-        if not head:
-            raise BatchError(
-                "cannot classify deck: first card has blank columns 1-5"
-            )
-        try:
-            int(head)
-        except ValueError:
-            raise BatchError(
-                f"cannot classify deck: first card starts {head!r}, "
-                "expected an integer count field"
-            ) from None
-        if line[5:].strip():
-            return "ospl"
-        # IDLZ-shaped; an ANALYZE sentinel card further down promotes
-        # the deck to the combined idealize-solve-contour program.
-        from repro.analyze.deck import has_analyze_header
-
-        return "analyze" if has_analyze_header(text) else "idlz"
-    raise BatchError("cannot classify deck: no non-blank cards")
-
-
 def classify_deck_path(path: Union[str, Path]) -> str:
     """Classify a deck file, honouring ``.idlz.`` / ``.ospl.`` name hints."""
     path = Path(path)
@@ -102,8 +72,8 @@ def classify_deck_path(path: Union[str, Path]) -> str:
     except OSError as exc:
         raise BatchError(f"cannot read deck {path}: {exc}") from exc
     try:
-        return classify_deck_text(text)
-    except BatchError as exc:
+        return classify_deck(text.splitlines())
+    except CardError as exc:
         raise BatchError(f"{path}: {exc}") from None
 
 

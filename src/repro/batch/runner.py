@@ -41,8 +41,7 @@ from repro.batch.cache import ArtifactCache, cache_key, lint_key
 from repro.batch.jobs import JobSpec
 from repro.batch.manifest import BatchManifest, summarize_jobs
 from repro.batch.worker import run_job
-from repro.core.idlz.deck import deck_fingerprint as idlz_fingerprint
-from repro.core.ospl.deck import deck_fingerprint as ospl_fingerprint
+from repro.cards.card import deck_fingerprint
 from repro.errors import BatchError
 from repro.obs import events
 from repro.obs.series import SeriesSampler
@@ -107,14 +106,7 @@ class BatchOptions:
 
 def job_fingerprint(spec: JobSpec) -> str:
     """The deck-content fingerprint for one job spec."""
-    text = Path(spec.deck).read_text()
-    if spec.program == "idlz":
-        return idlz_fingerprint(text)
-    if spec.program == "analyze":
-        from repro.analyze.deck import deck_fingerprint
-
-        return deck_fingerprint(text)
-    return ospl_fingerprint(text)
+    return deck_fingerprint(Path(spec.deck).read_text(), spec.program)
 
 
 def job_cache_key(spec: JobSpec, fingerprint: str) -> str:

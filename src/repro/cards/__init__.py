@@ -8,12 +8,16 @@ FORMAT; OSPL reads four card types (Appendix C).  This package supplies
   (I, F, E, A, X, H, literals, repeat groups, ``/``) with genuine FORTRAN
   semantics for fixed-field reads, including the implied-decimal rule for
   ``Fw.d`` input;
-* :mod:`repro.cards.card`           -- 80-column card images;
-* :mod:`repro.cards.reader`         -- sequential deck reader;
+* :mod:`repro.cards.card`           -- 80-column card images and the deck
+  fingerprint;
+* :mod:`repro.cards.reader`         -- the card tray the parses walk;
+* :mod:`repro.cards.parse`          -- the card layouts of every deck, the
+  program classifier and the one tolerant parse per program;
 * :mod:`repro.cards.writer`         -- sequential deck writer/punch.
 
-The concrete IDLZ and OSPL deck layouts are defined next to their programs
-(:mod:`repro.core.idlz.deck`, :mod:`repro.core.ospl.deck`).
+The runtime deck objects are built next to their programs
+(:mod:`repro.core.idlz.deck`, :mod:`repro.core.ospl.deck`,
+:mod:`repro.analyze.deck`).
 """
 
 from repro.cards.fortran_format import FortranFormat, FieldSpec

@@ -29,8 +29,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, TypeVar,
-    Union,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+    TypeVar, Union,
 )
 
 import numpy as np
@@ -717,3 +717,49 @@ def _collect_analyze_card(walk: _Walk, model: AnalyzeDeckModel,
         else:
             model.loads.append(RawLoad(card, keyword, axis, coord,
                                        tuple(rest)))
+
+
+# ----------------------------------------------------------------------
+# Programs: which one a tray belongs to, and its parse
+# ----------------------------------------------------------------------
+
+def classify_deck(images: Sequence[str]) -> str:
+    """Decide whether a tray of card images is an IDLZ, OSPL or analyze
+    deck.
+
+    An IDLZ deck opens with a type-1 ``(I5)`` card carrying only NSET in
+    columns 1-5, while an OSPL deck opens with ``(2I5, 5F10.4)`` -- NE
+    is mandatory, so column 6 onward is never blank.  Leading blank
+    cards are skipped.  An analyze deck is IDLZ-shaped but carries an
+    ``ANALYZE <family>`` header card further down; both fields must
+    match, so an IDLZ title card that merely *starts* with the word
+    ANALYZE does not reclassify the deck.  A tray that fits none of
+    these raises :class:`CardError`.
+    """
+    for line in images:
+        if not line.strip():
+            continue
+        head = line[:5].strip()
+        if not head:
+            raise CardError(
+                "cannot classify deck: first card has blank columns 1-5"
+            )
+        try:
+            int(head)
+        except ValueError:
+            raise CardError(
+                f"cannot classify deck: first card starts {head!r}, "
+                "expected an integer count field"
+            ) from None
+        if line[5:].strip():
+            return "ospl"
+        if any(card[:8].strip().upper() == "ANALYZE"
+               and card[8:24].strip().upper() in ANALYSES
+               for card in images):
+            return "analyze"
+        return "idlz"
+    raise CardError("cannot classify deck: no non-blank cards")
+
+
+#: Program (as :func:`classify_deck` names it) -> its tolerant parse.
+PARSERS = {"idlz": parse_idlz, "ospl": parse_ospl, "analyze": parse_analyze}

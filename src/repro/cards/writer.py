@@ -45,26 +45,6 @@ class CardWriter:
         obs.count("cards.punched", len(produced))
         return produced
 
-    def punch_each(self, fmt: Union[FortranFormat, str],
-                   rows: Sequence[Sequence[Any]]) -> List[Card]:
-        """Punch one card per row -- the IDLZ nodal/element card pattern."""
-        if isinstance(fmt, str):
-            fmt = FortranFormat(fmt)
-        produced: List[Card] = []
-        for row in rows:
-            produced.extend(Card(line) for line in fmt.write(row))
-        self._cards.extend(produced)
-        obs.count("cards.punched", len(produced))
-        return produced
-
     def to_text(self) -> str:
         """Serialise the tray to text, one card per line."""
         return deck_to_text(self._cards)
-
-    def value_count(self) -> int:
-        """Total non-blank character fields punched -- a crude proxy for
-        'data values', used by the data-reduction benchmarks."""
-        total = 0
-        for card in self._cards:
-            total += len(card.text.split())
-        return total

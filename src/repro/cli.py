@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     idlz.add_argument("--strict", action="store_true",
                       help="enforce the Table-2 1970 restrictions")
     idlz.add_argument("--check", action="store_true",
-                      help="validate the deck without running it")
+                      help="lint the deck as an IDLZ deck without "
+                           "running it (what 'repro lint' prints)")
     idlz.add_argument("--cache-dir", type=Path, default=None,
                       metavar="DIR",
                       help="stage-granular result cache; unchanged "
@@ -569,26 +570,17 @@ def _stage_cache(args: argparse.Namespace):
 
 
 def _run_idlz(args: argparse.Namespace) -> int:
+    if args.check:
+        from repro.lint import lint_text
+
+        result = lint_text(args.deck.read_text(), str(args.deck),
+                           program="idlz", strict=args.strict)
+        return _print_lint_text([result], args.quiet)
     from repro.core.idlz import limits as idlz_limits
     from repro.core.idlz.program import run_idlz_files
 
     limits = (idlz_limits.STRICT_1970 if args.strict
               else idlz_limits.UNLIMITED)
-    if args.check:
-        from repro.cards.reader import CardReader
-        from repro.core.idlz.deck import read_idlz_deck
-        from repro.core.idlz.validate import check_problem
-
-        with obs.span("idlz.read"):
-            reader = CardReader.from_text(args.deck.read_text())
-            problems = read_idlz_deck(reader)
-        clean = True
-        for i, problem in enumerate(problems, start=1):
-            report = check_problem(problem, limits=limits)
-            if not args.quiet:
-                print(f"problem {i}: {report}")
-            clean = clean and report.ok
-        return 0 if clean else 1
     runs = run_idlz_files(args.deck, args.out, limits=limits,
                           stage_cache=_stage_cache(args))
     if not args.quiet:
@@ -691,30 +683,37 @@ def _run_lint(args: argparse.Namespace) -> int:
                          strict=args.strict,
                          budget_bytes=budget_bytes,
                          deadline_s=args.deadline)
+    if args.format != "json":
+        return _print_lint_text(results, args.quiet)
     n_errors = sum(len(r.errors) for r in results)
-    n_warnings = sum(len(r.warnings) for r in results)
-    clean = sum(1 for r in results if r.clean)
-    if args.format == "json":
-        print(json.dumps({
-            "schema": "repro.lint/v1",
-            "strict": args.strict,
-            "budget_bytes": budget_bytes,
-            "deadline_s": args.deadline,
-            "summary": {
-                "files": len(results),
-                "clean": clean,
-                "errors": n_errors,
-                "warnings": n_warnings,
-            },
-            "files": [r.to_dict() for r in results],
-        }, indent=2))
-    else:
-        for result in results:
-            for diagnostic in result.sorted_diagnostics():
-                print(diagnostic.render())
-        if not args.quiet:
-            print(f"{len(results)} deck(s): {clean} clean, "
-                  f"{n_errors} error(s), {n_warnings} warning(s)")
+    print(json.dumps({
+        "schema": "repro.lint/v1",
+        "strict": args.strict,
+        "budget_bytes": budget_bytes,
+        "deadline_s": args.deadline,
+        "summary": {
+            "files": len(results),
+            "clean": sum(1 for r in results if r.clean),
+            "errors": n_errors,
+            "warnings": sum(len(r.warnings) for r in results),
+        },
+        "files": [r.to_dict() for r in results],
+    }, indent=2))
+    return 1 if n_errors else 0
+
+
+def _print_lint_text(results, quiet: bool) -> int:
+    """Print lint results as text (diagnostics, then the summary unless
+    ``quiet``); exit 1 when any deck has an error."""
+    n_errors = sum(len(r.errors) for r in results)
+    for result in results:
+        for diagnostic in result.sorted_diagnostics():
+            print(diagnostic.render())
+    if not quiet:
+        n_warnings = sum(len(r.warnings) for r in results)
+        clean = sum(1 for r in results if r.clean)
+        print(f"{len(results)} deck(s): {clean} clean, "
+              f"{n_errors} error(s), {n_warnings} warning(s)")
     return 1 if n_errors else 0
 
 

@@ -27,6 +27,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.idlz.deck": ["IdlzProblem", "read_idlz_deck",
                              "write_idlz_deck"],
     "repro.core.idlz.program": ["IdlzRun", "run_idlz", "run_idlz_files"],
-    "repro.core.idlz.validate": ["Diagnostic", "ValidationReport",
-                                 "check_problem"],
 })

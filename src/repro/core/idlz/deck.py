@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.cards.card import deck_fingerprint as _deck_fingerprint
 from repro.cards.parse import (
     IDLZ_TYPE1,
     IDLZ_TYPE3,
@@ -91,15 +90,6 @@ class IdlzProblem:
             count += 2  # type 5
             count += 9 * by_sub.get(sub.index, 0)  # type 6
         return count
-
-
-def deck_fingerprint(text: str) -> str:
-    """Content fingerprint of an IDLZ deck blob.
-
-    Thin wrapper over :func:`repro.cards.card.deck_fingerprint` under
-    the ``idlz`` program tag.
-    """
-    return _deck_fingerprint(text, "idlz")
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cards.card import deck_fingerprint as _deck_fingerprint
 from repro.cards.parse import (
     OSPL_TYPE1,
     OSPL_TYPE3,
@@ -58,15 +57,6 @@ class OsplProblem:
     def input_value_count(self) -> int:
         """Numeric payload of the deck (for the data-volume claims)."""
         return 7 + 4 * self.mesh.n_nodes + 3 * self.mesh.n_elements
-
-
-def deck_fingerprint(text: str) -> str:
-    """Content fingerprint of an OSPL deck blob.
-
-    Thin wrapper over :func:`repro.cards.card.deck_fingerprint` under
-    the ``ospl`` program tag.
-    """
-    return _deck_fingerprint(text, "ospl")
 
 
 def read_ospl_deck(reader: CardReader) -> OsplProblem:

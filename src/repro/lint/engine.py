@@ -14,17 +14,16 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from repro import obs
-from repro.batch.jobs import classify_deck_text
 from repro.cards.parse import (
+    PARSERS,
     AnalyzeDeckModel,
     CardView,
     IdlzDeckModel,
     OsplDeckModel,
-    parse_analyze,
-    parse_idlz,
-    parse_ospl,
+    classify_deck,
 )
-from repro.errors import BatchError, LintError
+from repro.cards.reader import CardReader
+from repro.errors import CardError, LintError
 from repro.lint.analysis import ProblemAnalysis
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import FileLintResult
@@ -50,10 +49,11 @@ def lint_text(text: str, path: str = "<deck>",
         ctx = LintContext(path=path, strict=strict,
                           budget_bytes=budget_bytes,
                           deadline_s=deadline_s)
+        reader = CardReader.from_text(text)
         if program is None:
             try:
-                program = classify_deck_text(text)
-            except BatchError as exc:
+                program = classify_deck(reader.images)
+            except CardError as exc:
                 ctx.emit("IDZ001", None, "deck", detail=str(exc))
                 if budget_bytes is not None or deadline_s is not None:
                     # An unclassifiable deck is unpriceable too; a
@@ -63,42 +63,49 @@ def lint_text(text: str, path: str = "<deck>",
                 return _finish(FileLintResult(
                     path=path, program=None,
                     diagnostics=ctx.diagnostics))
-        if program == "idlz":
-            model = parse_idlz(text, path)
-            ctx.diagnostics.extend(model.parse_diagnostics)
-            analyses = [ProblemAnalysis(p) for p in model.problems]
-            for check in checkers_for("idlz"):
-                check(ctx, model, analyses)
-            _check_trailing(ctx, model, "IDZ007")
-            _check_plan(ctx, "idlz", model)
-        elif program == "analyze":
-            analyze_model = parse_analyze(text, path)
-            ctx.diagnostics.extend(analyze_model.parse_diagnostics)
-            analyses = [ProblemAnalysis(p)
-                        for p in analyze_model.idlz.problems]
-            # The embedded IDLZ problem gets the full IDZ/FMT/LIM
-            # treatment before the analysis-section rules run over it.
-            for check in checkers_for("idlz"):
-                check(ctx, analyze_model.idlz, analyses)
-            for check in checkers_for("analyze"):
-                check(ctx, analyze_model, analyses)
-            _check_trailing(ctx, analyze_model, "ANA011")
-            _check_plan(ctx, "analyze", analyze_model)
-        elif program == "ospl":
-            model = parse_ospl(text, path)
-            ctx.diagnostics.extend(model.parse_diagnostics)
-            for check in checkers_for("ospl"):
-                check(ctx, model)
-            _check_trailing(ctx, model, "OSP004")
-            _check_plan(ctx, "ospl", model)
-        else:
+        if program not in PARSERS:
             raise LintError(
                 f"unknown program {program!r}; expected 'idlz', "
                 "'ospl' or 'analyze'"
             )
+        model = PARSERS[program](reader, path)
+        ctx.diagnostics.extend(model.parse_diagnostics)
+        check, trailing_code = _CHECKS[program]
+        check(ctx, model)
+        _check_trailing(ctx, model, trailing_code)
+        _check_plan(ctx, program, model)
         return _finish(FileLintResult(
             path=path, program=program,
             diagnostics=ctx.diagnostics))
+
+
+def _check_idlz(ctx: LintContext,
+                model: IdlzDeckModel) -> List[ProblemAnalysis]:
+    analyses = [ProblemAnalysis(p) for p in model.problems]
+    for check in checkers_for("idlz"):
+        check(ctx, model, analyses)
+    return analyses
+
+
+def _check_analyze(ctx: LintContext, model: AnalyzeDeckModel) -> None:
+    # The embedded IDLZ problem gets the full IDZ/FMT/LIM treatment
+    # before the analysis-section rules run over it.
+    analyses = _check_idlz(ctx, model.idlz)
+    for check in checkers_for("analyze"):
+        check(ctx, model, analyses)
+
+
+def _check_ospl(ctx: LintContext, model: OsplDeckModel) -> None:
+    for check in checkers_for("ospl"):
+        check(ctx, model)
+
+
+#: Program -> (its rule pass, the code for cards past the deck).
+_CHECKS = {
+    "idlz": (_check_idlz, "IDZ007"),
+    "analyze": (_check_analyze, "ANA011"),
+    "ospl": (_check_ospl, "OSP004"),
+}
 
 
 def _check_plan(ctx: LintContext, program: str,

@@ -434,11 +434,10 @@ def check_shapeability(ctx: LintContext, model: IdlzDeckModel,
                        analyses: List[ProblemAnalysis]) -> None:
     """The dependency walk over shaping order (IDZ207/IDZ208).
 
-    Mirrors :func:`repro.core.idlz.validate._check_shapeability` but
-    with card-level locations: tracks which lattice points each
-    subdivision's cards (or an earlier, fully shaped neighbour) locate
-    and proves an opposite pair exists when the subdivision's turn
-    comes.
+    Tracks which lattice points each subdivision's cards (or an
+    earlier, fully shaped neighbour) locate and proves an opposite pair
+    exists when the subdivision's turn comes -- the error IDLZ itself
+    only finds mid-run.
     """
     for analysis in analyses:
         problem = analysis.problem

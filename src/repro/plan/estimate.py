@@ -28,17 +28,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.batch.jobs import classify_deck_text
 from repro.cards.parse import (
+    PARSERS,
     AnalyzeDeckModel,
     IdlzDeckModel,
     OsplDeckModel,
     RawIdlzProblem,
-    parse_analyze,
-    parse_idlz,
-    parse_ospl,
+    classify_deck,
 )
-from repro.errors import BatchError, IdealizationError, PlanError
+from repro.cards.reader import CardReader
+from repro.errors import CardError, IdealizationError, PlanError
 from repro.plan.calibrate import Calibration, load_calibration
 from repro.plan.model import DeckPlan, ProblemPlan
 
@@ -353,48 +352,44 @@ def _unplannable(path: str, program: Optional[str],
 # Entry points
 # ----------------------------------------------------------------------
 
+#: Program -> its planner over the parsed model.
+_PLANNERS = {"idlz": _plan_idlz, "ospl": _plan_ospl,
+             "analyze": _plan_analyze}
+
+
+def _unknown_program(program: str) -> PlanError:
+    return PlanError(f"unknown program {program!r}; expected "
+                     "'idlz', 'ospl' or 'analyze'")
+
+
 def plan_model(model: Union[IdlzDeckModel, OsplDeckModel,
                             AnalyzeDeckModel],
                program: str, path: str = "<deck>",
                calibration: Optional[Calibration] = None) -> DeckPlan:
     """Plan an already-parsed deck model (the lint engine's entry)."""
+    if program not in _PLANNERS:
+        raise _unknown_program(program)
     calibration = calibration or load_calibration()
     try:
-        if program == "idlz":
-            assert isinstance(model, IdlzDeckModel)
-            return _plan_idlz(model, path, calibration)
-        if program == "ospl":
-            assert isinstance(model, OsplDeckModel)
-            return _plan_ospl(model, path, calibration)
-        if program == "analyze":
-            assert isinstance(model, AnalyzeDeckModel)
-            return _plan_analyze(model, path, calibration)
+        return _PLANNERS[program](model, path, calibration)
     except _Unplannable as exc:
         return _unplannable(path, program, str(exc))
-    raise PlanError(f"unknown program {program!r}; expected "
-                    "'idlz', 'ospl' or 'analyze'")
 
 
 def plan_text(text: str, path: str = "<deck>",
               program: Optional[str] = None,
               calibration: Optional[Calibration] = None) -> DeckPlan:
     """Statically estimate one deck blob; never raises on content."""
+    reader = CardReader.from_text(text)
     if program is None:
         try:
-            program = classify_deck_text(text)
-        except BatchError as exc:
+            program = classify_deck(reader.images)
+        except CardError as exc:
             return _unplannable(path, None, str(exc))
-    if program == "idlz":
-        model: Union[IdlzDeckModel, OsplDeckModel, AnalyzeDeckModel] \
-            = parse_idlz(text, path)
-    elif program == "ospl":
-        model = parse_ospl(text, path)
-    elif program == "analyze":
-        model = parse_analyze(text, path)
-    else:
-        raise PlanError(f"unknown program {program!r}; expected "
-                        "'idlz', 'ospl' or 'analyze'")
-    return plan_model(model, program, path, calibration)
+    if program not in PARSERS:
+        raise _unknown_program(program)
+    return plan_model(PARSERS[program](reader, path), program, path,
+                      calibration)
 
 
 def plan_path(path: Union[str, Path],

@@ -12,8 +12,6 @@ from repro.analyze.deck import (
     SupportCard,
     TempCard,
     ThermalMaterialCard,
-    deck_fingerprint,
-    has_analyze_header,
     read_analyze_deck,
     write_analyze_deck,
 )
@@ -22,7 +20,9 @@ from repro.analyze.examples import (
     example_decks,
     plate_deck,
 )
-from repro.batch.jobs import classify_deck_path, classify_deck_text
+from repro.batch.jobs import classify_deck_path
+from repro.cards.card import deck_fingerprint
+from repro.cards.parse import classify_deck
 from repro.cards.reader import CardReader
 from repro.errors import CardError
 
@@ -140,13 +140,19 @@ class TestReader:
 
 class TestClassification:
     def test_header_detection(self):
-        assert has_analyze_header("ANALYZE PSTRESS\nEND\n")
-        assert has_analyze_header("ANALYZE THERMAL         \n")
-        assert not has_analyze_header("ANALYZE WRONG\n")
-        assert not has_analyze_header("    1\nTITLE\n")
+        def program(*cards):
+            return classify_deck(["    1", *cards])
+
+        assert program("TITLE", "ANALYZE PSTRESS", "END") == "analyze"
+        assert program("TITLE", "ANALYZE THERMAL         ") == "analyze"
+        assert program("TITLE", "ANALYZE WRONG") == "idlz"
+        assert program("TITLE") == "idlz"
+        # A title card that merely starts with the word is no header.
+        assert program("ANALYZE THE PLATE") == "idlz"
 
     def test_classify_text(self):
-        assert classify_deck_text(deck_text(plate_deck())) == "analyze"
+        text = deck_text(plate_deck())
+        assert classify_deck(text.splitlines()) == "analyze"
 
     def test_classify_path_honours_name_hint(self, tmp_path: Path):
         deck = tmp_path / "plate.analyze.deck"
@@ -157,16 +163,17 @@ class TestClassification:
 class TestFingerprint:
     def test_stable_for_identical_text(self):
         text = deck_text(plate_deck())
-        assert deck_fingerprint(text) == deck_fingerprint(text)
+        assert deck_fingerprint(text, "analyze") \
+            == deck_fingerprint(text, "analyze")
 
     def test_changes_with_any_card(self):
         text = deck_text(plate_deck())
         edited = text.replace("1000.0000", "1500.0000")
         assert edited != text
-        assert deck_fingerprint(edited) != deck_fingerprint(text)
+        assert deck_fingerprint(edited, "analyze") \
+            != deck_fingerprint(text, "analyze")
 
     def test_differs_from_idlz_fingerprint_of_same_cards(self):
-        from repro.core.idlz.deck import deck_fingerprint as idlz_fp
-
         text = deck_text(plate_deck())
-        assert deck_fingerprint(text) != idlz_fp(text)
+        assert deck_fingerprint(text, "analyze") \
+            != deck_fingerprint(text, "idlz")

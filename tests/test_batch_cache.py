@@ -6,8 +6,15 @@ import pytest
 
 from repro.batch.cache import ArtifactCache, cache_key
 from repro.cards.card import canonical_deck_text
-from repro.core.idlz.deck import deck_fingerprint as idlz_fingerprint
-from repro.core.ospl.deck import deck_fingerprint as ospl_fingerprint
+from repro.cards.card import deck_fingerprint
+
+
+def idlz_fingerprint(text):
+    return deck_fingerprint(text, "idlz")
+
+
+def ospl_fingerprint(text):
+    return deck_fingerprint(text, "ospl")
 
 DECK = "    1\nTITLE CARD\n    1    1    1    1\n"
 

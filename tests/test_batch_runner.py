@@ -9,16 +9,17 @@ from repro.batch import (
     BatchManifest,
     BatchOptions,
     EXIT_PARTIAL,
-    classify_deck_text,
     discover_jobs,
     run_batch,
 )
+from repro.batch.jobs import classify_deck_path
 from repro.batch.worker import JobTimeout, _Deadline, run_job
 from repro.core.idlz.deck import write_idlz_deck
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
 from repro.core.idlz.deck import IdlzProblem
-from repro.errors import BatchError
+from repro.cards.parse import classify_deck
+from repro.errors import BatchError, CardError
 
 OSPL_DECK = """\
     6    4    4.0000    0.0000    2.0000    0.0000    0.0000
@@ -60,21 +61,27 @@ def deck_dir(tmp_path):
 
 class TestClassify:
     def test_idlz_deck(self):
-        assert classify_deck_text("    1\nTITLE\n") == "idlz"
+        assert classify_deck(["    1", "TITLE"]) == "idlz"
 
     def test_ospl_deck(self):
-        assert classify_deck_text(OSPL_DECK) == "ospl"
+        assert classify_deck(OSPL_DECK.splitlines()) == "ospl"
 
     def test_leading_blank_cards_skipped(self):
-        assert classify_deck_text("\n   \n    2\nTITLE\n") == "idlz"
+        assert classify_deck(["", "   ", "    2", "TITLE"]) == "idlz"
 
     def test_empty_deck_rejected(self):
-        with pytest.raises(BatchError):
-            classify_deck_text("   \n")
+        with pytest.raises(CardError, match="no non-blank cards"):
+            classify_deck(["   "])
 
     def test_non_numeric_first_card_rejected(self):
-        with pytest.raises(BatchError):
-            classify_deck_text("HELLO\n")
+        with pytest.raises(CardError, match="first card starts 'HELLO'"):
+            classify_deck(["HELLO"])
+
+    def test_unclassifiable_path_is_batch_error(self, tmp_path):
+        deck = tmp_path / "bad.deck"
+        deck.write_text("HELLO\n")
+        with pytest.raises(BatchError, match="bad.deck: cannot classify"):
+            classify_deck_path(deck)
 
 
 class TestDiscoverJobs:

@@ -1,49 +1,66 @@
-"""Unit tests for the sequential deck reader and the card punch."""
+"""Unit tests for the card tray, the parses that walk it, and the punch."""
 
 import pytest
 
 from repro.cards.card import Card
 from repro.cards.fortran_format import FortranFormat
+from repro.cards.parse import parse_idlz, parse_ospl, read_or_refuse
 from repro.cards.reader import CardReader
 from repro.cards.writer import CardWriter
+from repro.core.idlz.deck import IdlzProblem, write_idlz_deck
+from repro.core.idlz.shaping import ShapingSegment
+from repro.core.idlz.subdivision import Subdivision
 from repro.errors import CardError
+
+OSPL_TRAY = [
+    "    3    1",
+    "FIELD",
+    "SUBTITLE",
+    "  0.00000  0.00000                           1.0001",
+    "  1.00000  0.00000                           2.0001",
+    "  0.00000  1.00000                           3.0001",
+    "    1    2    3",
+]
+
+
+def idlz_tray():
+    sub = Subdivision(index=1, kk1=1, ll1=1, kk2=3, ll2=3)
+    segments = [ShapingSegment(1, 1, 1, 3, 1, 0.0, 0.0, 2.0, 0.0),
+                ShapingSegment(1, 1, 3, 3, 3, 0.0, 2.0, 2.0, 2.0)]
+    problem = IdlzProblem(title="TRAY", subdivisions=[sub],
+                          segments=segments)
+    return [str(card) for card in write_idlz_deck([problem]).cards]
 
 
 class TestCardReader:
     def test_sequential_consumption(self):
-        reader = CardReader(["    1", "    2"])
-        assert reader.read("(I5)") == [1]
-        assert reader.read("(I5)") == [2]
-        assert reader.exhausted
-
-    def test_peek_does_not_consume(self):
-        reader = CardReader(["AAA"])
-        assert str(reader.peek()) == "AAA"
-        assert reader.position == 0
-        reader.next_card()
-        assert reader.exhausted
+        # A parse reads the tray in order, each card under its FORMAT,
+        # and parks the tray after the data set it read.
+        tray = idlz_tray()
+        reader = CardReader(tray + ["TRAILING CARD"])
+        model = parse_idlz(reader)
+        assert reader.position == len(tray)
+        assert reader.remaining() == 1
+        problem = model.problems[0]
+        assert problem.title_card.hollerith == "TRAY"
+        assert problem.nodal_format.spec == tray[-2].rstrip()
+        assert [(s.kk1, s.ll1, s.kk2, s.ll2)
+                for s in problem.subdivisions] == [(1, 1, 3, 3)]
 
     def test_reading_past_end_raises(self):
-        reader = CardReader(["only"])
-        reader.next_card()
-        with pytest.raises(CardError, match="exhausted"):
-            reader.next_card()
-
-    def test_peek_past_end_raises(self):
-        with pytest.raises(CardError):
-            CardReader([]).peek()
+        reader = CardReader(idlz_tray()[:3])
+        with pytest.raises(CardError, match="deck exhausted"):
+            read_or_refuse(parse_idlz, reader)
 
     def test_read_list(self):
-        reader = CardReader(["    1", "    2", "    3"])
-        rows = reader.read_list("(I5)", 2)
-        assert rows == [[1], [2]]
+        # The OSPL node and element tables: NN and NE consecutive cards
+        # under one FORMAT each.
+        reader = CardReader(OSPL_TRAY + ["    9    9    9"])
+        model = parse_ospl(reader)
+        assert model.xy.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert model.values.tolist() == [1.0, 2.0, 3.0]
+        assert model.elements.tolist() == [[1, 2, 3]]
         assert reader.remaining() == 1
-
-    def test_rewind(self):
-        reader = CardReader(["    9"])
-        reader.next_card()
-        reader.rewind()
-        assert reader.read("(I5)") == [9]
 
     def test_from_text(self):
         reader = CardReader.from_text("    1\n    2\n")
@@ -51,7 +68,7 @@ class TestCardReader:
 
     def test_accepts_card_objects(self):
         reader = CardReader([Card("   42")])
-        assert reader.read("(I5)") == [42]
+        assert reader.images == ["   42"]
 
 
 class TestCardWriter:
@@ -60,11 +77,6 @@ class TestCardWriter:
         writer.punch("(2I5)", [1, 2])
         assert len(writer) == 1
         assert str(writer.cards[0]) == "    1    2"
-
-    def test_punch_each_row(self):
-        writer = CardWriter()
-        writer.punch_each("(I5)", [[1], [2], [3]])
-        assert len(writer) == 3
 
     def test_punch_spilling_format(self):
         writer = CardWriter()
@@ -81,10 +93,4 @@ class TestCardWriter:
         fmt = FortranFormat("(3I5)")
         writer.punch(fmt, [7, 8, 9])
         reader = CardReader.from_text(writer.to_text())
-        assert reader.read(fmt) == [7, 8, 9]
-
-    def test_value_count(self):
-        writer = CardWriter()
-        writer.punch("(3I5)", [1, 2, 3])
-        writer.punch("(2I5)", [4, 5])
-        assert writer.value_count() == 5
+        assert fmt.read(reader.images[0]) == [7, 8, 9]

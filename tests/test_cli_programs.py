@@ -157,18 +157,42 @@ class TestCli:
 
 
 class TestCliCheck:
+    """``idlz --check`` is ``repro lint`` on one IDLZ deck: same stdout,
+    same exit code."""
+
+    def check_and_lint(self, deck_file: Path, capsys, *flags):
+        code = main(["idlz", str(deck_file), "--check", *flags])
+        checked = capsys.readouterr().out
+        assert main(["lint", str(deck_file), *flags]) == code
+        assert capsys.readouterr().out == checked
+        return code, checked
+
     def test_clean_deck_passes(self, tmp_path: Path, capsys):
         deck_file = tmp_path / "in.deck"
         deck_file.write_text(write_idlz_deck([plate_problem()]).to_text())
-        code = main(["idlz", str(deck_file), "--check"])
+        code, out = self.check_and_lint(deck_file, capsys)
         assert code == 0
-        assert "deck is clean" in capsys.readouterr().out
+        assert out == "1 deck(s): 1 clean, 0 error(s), 0 warning(s)\n"
 
     def test_bad_deck_fails_with_findings(self, tmp_path: Path, capsys):
         bad = plate_problem()
         bad.segments = bad.segments[:1]  # only one located side
         deck_file = tmp_path / "bad.deck"
         deck_file.write_text(write_idlz_deck([bad]).to_text())
-        code = main(["idlz", str(deck_file), "--check"])
+        code, out = self.check_and_lint(deck_file, capsys)
         assert code == 1
-        assert "no opposite pair" in capsys.readouterr().out
+        assert out.startswith(f"{deck_file}:4: error IDZ207: no opposite "
+                              "pair of sides")
+        assert self.check_and_lint(deck_file, capsys, "-q") \
+            == (1, out.splitlines(keepends=True)[0])
+
+    def test_strict_escalates_the_table2_limits(self, tmp_path: Path,
+                                                capsys):
+        sub = Subdivision(index=1, kk1=1, ll1=1, kk2=41, ll2=3)
+        wide = IdlzProblem(title="WIDE", subdivisions=[sub], segments=[
+            ShapingSegment(1, 1, 1, 41, 1, 0.0, 0.0, 40.0, 0.0),
+            ShapingSegment(1, 1, 3, 41, 3, 0.0, 2.0, 40.0, 2.0)])
+        deck_file = tmp_path / "wide.deck"
+        deck_file.write_text(write_idlz_deck([wide]).to_text())
+        assert self.check_and_lint(deck_file, capsys)[0] == 0
+        assert self.check_and_lint(deck_file, capsys, "--strict")[0] == 1

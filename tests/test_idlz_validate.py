@@ -1,12 +1,13 @@
-"""Tests for the IDLZ pre-flight validator."""
+"""The IDLZ deck check (``idlz --check``): lint over one IDLZ deck.
 
-import pytest
+Each problem is punched by the deck writer and linted as an IDLZ deck,
+so the findings carry the lint code and the card they sit on.
+"""
 
-from repro.core.idlz.deck import IdlzProblem
-from repro.core.idlz.limits import STRICT_1970
+from repro.core.idlz.deck import IdlzProblem, write_idlz_deck
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.core.idlz.validate import check_problem
+from repro.lint import lint_text
 
 
 def plate_problem(segments=None):
@@ -19,36 +20,58 @@ def plate_problem(segments=None):
     return IdlzProblem(title="T", subdivisions=[sub], segments=segments)
 
 
+def check(problem, strict=False):
+    return lint_text(write_idlz_deck([problem]).to_text(), "t.deck",
+                     program="idlz", strict=strict)
+
+
+def findings(problem, strict=False):
+    """``(code, severity, card)`` of every diagnostic."""
+    return [(d.code, d.severity, d.location.card)
+            for d in check(problem, strict).diagnostics]
+
+
+def two_subdivisions(order):
+    """Sub 2 locates only its right side; its left side is sub 1's
+    right side, located once sub 1 has shaped."""
+    subs = {1: Subdivision(index=1, kk1=1, ll1=1, kk2=3, ll2=3),
+            2: Subdivision(index=2, kk1=3, ll1=1, kk2=5, ll2=3)}
+    segments = [
+        ShapingSegment(1, 1, 1, 1, 3, 0, 0, 0, 2),
+        ShapingSegment(1, 3, 1, 3, 3, 1, 0, 1, 2),
+        ShapingSegment(2, 5, 1, 5, 3, 3, 0, 3, 2),
+    ]
+    return IdlzProblem(title="T", subdivisions=[subs[i] for i in order],
+                       segments=segments)
+
+
 class TestCleanDecks:
     def test_valid_problem_is_clean(self):
-        report = check_problem(plate_problem())
-        assert report.ok
-        assert report.diagnostics == []
+        assert check(plate_problem()).diagnostics == []
 
     def test_every_library_structure_is_clean(self, built_structures):
         for name, built in built_structures.items():
-            report = check_problem(built.case.problem())
-            assert report.ok, f"{name}: {report}"
+            result = check(built.case.problem())
+            assert result.clean, f"{name}: {result.diagnostics}"
 
 
 class TestStructuralErrors:
     def test_unknown_subdivision_flagged(self):
-        problem = plate_problem()
-        problem.segments.append(
-            ShapingSegment(9, 1, 1, 4, 1, 0, 0, 1, 0)
-        )
-        report = check_problem(problem)
-        assert not report.ok
-        assert any("unknown subdivision 9" in d.message
-                   for d in report.errors)
+        # The writer only punches declared subdivisions, so the type-5
+        # card naming subdivision 9 is punched by hand.
+        cards = write_idlz_deck([plate_problem()]).to_text().splitlines()
+        cards[4] = "    9    2"
+        result = lint_text("\n".join(cards) + "\n", "t.deck",
+                           program="idlz")
+        assert [d.location.card for d in result.errors
+                if d.code == "IDZ006"] == [5, 6, 7]
 
     def test_duplicate_subdivision_number_flagged(self):
         problem = plate_problem()
         problem.subdivisions.append(
             Subdivision(index=1, kk1=4, ll1=1, kk2=6, ll2=4)
         )
-        report = check_problem(problem)
-        assert any("duplicate" in d.message for d in report.errors)
+        assert findings(problem) == [("IDZ005", "error", 5)]
 
     def test_endpoints_off_side_flagged(self):
         problem = plate_problem(segments=[
@@ -56,16 +79,14 @@ class TestStructuralErrors:
             ShapingSegment(1, 1, 1, 4, 1, 0, 0, 3, 0),
             ShapingSegment(1, 1, 4, 4, 4, 0, 3, 3, 3),
         ])
-        report = check_problem(problem)
-        assert any("common side" in d.message for d in report.errors)
+        assert findings(problem) == [("IDZ201", "error", 6)]
 
     def test_point_off_lattice_flagged(self):
         problem = plate_problem()
         problem.segments.append(
             ShapingSegment(1, 9, 9, 9, 9, 1, 1, 1, 1)
         )
-        report = check_problem(problem)
-        assert any("lattice point" in d.message for d in report.errors)
+        assert findings(problem) == [("IDZ209", "error", 8)]
 
 
 class TestArcErrors:
@@ -75,8 +96,7 @@ class TestArcErrors:
             ShapingSegment(1, 1, 1, 4, 1, 0, 0, 3, 0, radius=1.0),
             ShapingSegment(1, 1, 4, 4, 4, 0, 3, 3, 3),
         ])
-        report = check_problem(problem)
-        assert any("bad arc" in d.message for d in report.errors)
+        assert findings(problem) == [("IDZ204", "error", 6)]
 
     def test_over_90_degree_arc_flagged(self):
         problem = plate_problem(segments=[
@@ -84,17 +104,14 @@ class TestArcErrors:
             ShapingSegment(1, 1, 1, 4, 1, 0, 0, 3, 0, radius=1.6),
             ShapingSegment(1, 1, 4, 4, 4, 0, 3, 3, 3),
         ])
-        report = check_problem(problem)
-        assert any("deg" in d.message for d in report.errors)
+        assert findings(problem) == [("IDZ205", "error", 6)]
 
     def test_degenerate_straight_segment_flagged(self):
         problem = plate_problem(segments=[
             ShapingSegment(1, 1, 1, 4, 1, 2, 2, 2, 2),
             ShapingSegment(1, 1, 4, 4, 4, 0, 3, 3, 3),
         ])
-        report = check_problem(problem)
-        assert any("coincident real endpoints" in d.message
-                   for d in report.errors)
+        assert findings(problem) == [("IDZ202", "error", 6)]
 
 
 class TestShapeability:
@@ -102,37 +119,15 @@ class TestShapeability:
         problem = plate_problem(segments=[
             ShapingSegment(1, 1, 1, 4, 1, 0, 0, 3, 0),  # bottom only
         ])
-        report = check_problem(problem)
-        assert any("no opposite pair" in d.message for d in report.errors)
+        assert findings(problem) == [("IDZ207", "error", 4)]
 
     def test_dependency_through_earlier_subdivision(self):
-        # Sub 2 only locates its right side; its left side comes from
-        # sub 1 having been shaped first -- the validator must see that.
-        s1 = Subdivision(index=1, kk1=1, ll1=1, kk2=3, ll2=3)
-        s2 = Subdivision(index=2, kk1=3, ll1=1, kk2=5, ll2=3)
-        segments = [
-            ShapingSegment(1, 1, 1, 1, 3, 0, 0, 0, 2),
-            ShapingSegment(1, 3, 1, 3, 3, 1, 0, 1, 2),
-            ShapingSegment(2, 5, 1, 5, 3, 3, 0, 3, 2),
-        ]
-        problem = IdlzProblem(title="T", subdivisions=[s1, s2],
-                              segments=segments)
-        assert check_problem(problem).ok
+        assert check(two_subdivisions([1, 2])).diagnostics == []
 
     def test_wrong_order_detected(self):
-        # Same as above but sub 2 listed first: its left side is not yet
+        # Sub 2 punched first (card 4): its left side is not yet
         # located when it shapes.
-        s1 = Subdivision(index=1, kk1=1, ll1=1, kk2=3, ll2=3)
-        s2 = Subdivision(index=2, kk1=3, ll1=1, kk2=5, ll2=3)
-        segments = [
-            ShapingSegment(1, 1, 1, 1, 3, 0, 0, 0, 2),
-            ShapingSegment(1, 3, 1, 3, 3, 1, 0, 1, 2),
-            ShapingSegment(2, 5, 1, 5, 3, 3, 0, 3, 2),
-        ]
-        problem = IdlzProblem(title="T", subdivisions=[s2, s1],
-                              segments=segments)
-        report = check_problem(problem)
-        assert any(d.where == "subdivision 2" for d in report.errors)
+        assert findings(two_subdivisions([2, 1])) == [("IDZ207", "error", 4)]
 
     def test_over_located_warns(self):
         problem = plate_problem(segments=[
@@ -141,23 +136,22 @@ class TestShapeability:
             ShapingSegment(1, 1, 1, 1, 4, 0, 0, 0, 3),
             ShapingSegment(1, 4, 1, 4, 4, 3, 0, 3, 3),
         ])
-        report = check_problem(problem)
-        assert report.ok  # warnings only
-        assert any("all four sides" in d.message for d in report.warnings)
+        assert findings(problem) == [("IDZ208", "warning", 4)]
 
 
 class TestLimits:
     def test_strict_limits_applied(self):
         sub = Subdivision(index=1, kk1=1, ll1=1, kk2=41, ll2=3)
-        problem = IdlzProblem(title="WIDE", subdivisions=[sub],
-                              segments=[])
-        report = check_problem(problem, limits=STRICT_1970)
-        assert any("horizontal" in d.message for d in report.errors)
+        wide = IdlzProblem(title="WIDE", subdivisions=[sub], segments=[])
+        assert ("LIM002", "error", 4) in findings(wide, strict=True)
+        assert ("LIM002", "warning", 4) in findings(wide)
 
     def test_report_str_lists_findings(self):
-        problem = plate_problem(segments=[])
-        text = str(check_problem(problem))
-        assert "ERROR" in text
+        lines = [d.render() for d in check(plate_problem(segments=[]))
+                 .diagnostics]
+        assert len(lines) == 1
+        assert lines[0].startswith("t.deck:4: error IDZ207: ")
 
     def test_clean_report_str(self):
-        assert str(check_problem(plate_problem())) == "deck is clean"
+        result = check(plate_problem())
+        assert result.clean and result.ok

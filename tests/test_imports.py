@@ -99,6 +99,22 @@ def test_deck_programs_never_load_scipy(tmp_path):
     assert result == {"codes": [0, 0, 0, 0], "scipy": False}
 
 
+def _loaded_by(argv: List[str], prefixes) -> Dict:
+    """Run the CLI on ``argv`` in a fresh interpreter: its exit code and
+    the loaded modules whose names start with one of ``prefixes``."""
+    return _run_python(f"""
+        import contextlib, io, json, sys
+        from repro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main({argv!r})
+            except SystemExit as exc:
+                code = exc.code
+        print(json.dumps({{"code": code, "loaded": sorted(
+            m for m in sys.modules if m.startswith({tuple(prefixes)!r}))}}))
+    """)
+
+
 #: Modules only the ``idlz``/``ospl``/``analyze`` runners need.
 _RUNNER_MODULES = ("repro.core.idlz.program", "repro.core.ospl.program",
                    "repro.plotter")
@@ -108,21 +124,20 @@ _RUNNER_MODULES = ("repro.core.idlz.program", "repro.core.ospl.program",
     ["--version"],
     ["lint", str(DECKS / "plate.deck")],
     ["plan", str(DECKS / "plate.deck")],
-], ids=["version", "lint", "plan"])
+    ["idlz", str(DECKS / "plate.deck"), "--check"],
+], ids=["version", "lint", "plan", "idlz-check"])
 def test_non_running_programs_skip_the_runners(argv):
-    result = _run_python(f"""
-        import contextlib, io, json, sys
-        from repro.cli import main
-        with contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = main({argv!r})
-            except SystemExit as exc:
-                code = exc.code
-        print(json.dumps({{"code": code, "loaded": sorted(
-            m for m in sys.modules
-            if m.startswith({_RUNNER_MODULES!r}))}}))
-    """)
-    assert result == {"code": 0, "loaded": []}
+    assert _loaded_by(argv, _RUNNER_MODULES) == {"code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lint", str(DECKS), "-R"],
+    ["plan", "run", str(DECKS), "-R"],
+    ["idlz", str(DECKS / "plate.deck"), "--check"],
+], ids=["lint", "plan", "idlz-check"])
+def test_deck_checks_skip_the_batch_engine(argv):
+    """Classifying and parsing a deck is the card layer's job."""
+    assert _loaded_by(argv, ["repro.batch"]) == {"code": 0, "loaded": []}
 
 
 def test_analyze_loads_scipy(tmp_path):

@@ -68,8 +68,12 @@ class TestBatchAssembly:
         assert trace.trace_id == manifest.meta["trace_id"]
         assert trace.root.span_id == manifest.meta["root_span"]
         assert trace.root.name == "batch.run"
-        # Two pool workers plus the coordinator's synthesized root.
-        assert len(trace.pids()) == 3
+        # The coordinator's synthesized root, then every pool worker
+        # that ran a job: one worker may take both jobs.
+        pids = trace.pids()
+        assert pids[0] == trace.root.pid == manifest.meta["pid"]
+        assert set(pids) == {trace.root.pid} | {
+            record["obs"]["pid"] for record in manifest.jobs}
 
     def test_every_job_fragment_resolves_to_the_root_trace(self, fleet):
         manifest, _ = fleet
