@@ -14,7 +14,6 @@ import pytest
 from common import report
 
 from repro.core.ospl import conplt
-from repro.core.ospl.limits import STRICT_1970
 from repro.errors import LimitError
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
@@ -44,7 +43,7 @@ def test_table1_ospl_at_limits(benchmark):
     assert mesh.n_nodes == 800
 
     plot = benchmark(conplt, mesh, field, "AT TABLE 1 LIMITS", "",
-                     None, None, None, STRICT_1970)
+                     None, None, None, True)
     report("T1 OSPL limits", {
         "paper limits (nodes / elements)": "800 / 1000",
         "mesh at limit (nodes / elements)":
@@ -58,7 +57,7 @@ def test_table1_node_limit_rejected_past_800():
     mesh = strip_mesh(401, 2)  # 802 nodes
     field = NodalField("S", mesh.nodes[:, 0])
     with pytest.raises(LimitError, match="nodes"):
-        conplt(mesh, field, limits=STRICT_1970)
+        conplt(mesh, field, strict=True)
 
 
 def test_table1_element_limit_rejected_past_1000():
@@ -66,4 +65,4 @@ def test_table1_element_limit_rejected_past_1000():
     assert mesh.n_elements > 1000
     field = NodalField("S", mesh.nodes[:, 0])
     with pytest.raises(LimitError, match="elements"):
-        conplt(mesh, field, limits=STRICT_1970)
+        conplt(mesh, field, strict=True)

@@ -16,7 +16,6 @@ from common import report
 from repro.core.idlz import (
     Idealizer,
     ShapingSegment,
-    STRICT_1970,
     Subdivision,
 )
 from repro.errors import LimitError
@@ -40,7 +39,7 @@ def test_table2_idlz_at_limits(benchmark):
 
     def run():
         return Idealizer("AT TABLE 2 LIMITS", [sub],
-                         limits=STRICT_1970).run(segments)
+                         strict=True).run(segments)
 
     ideal = benchmark(run)
     report("T2 IDLZ limits", {
@@ -56,20 +55,20 @@ def test_table2_idlz_at_limits(benchmark):
 def test_table2_element_cap_rejected():
     sub = Subdivision(index=1, kk1=1, ll1=1, kk2=10, ll2=50)
     with pytest.raises(LimitError):
-        Idealizer("TOO MANY", [sub], limits=STRICT_1970).run([])
+        Idealizer("TOO MANY", [sub], strict=True).run([])
 
 
 def test_table2_grid_extent_rejected():
     wide = Subdivision(index=1, kk1=1, ll1=1, kk2=41, ll2=2)
     with pytest.raises(LimitError, match="horizontal"):
-        Idealizer("TOO WIDE", [wide], limits=STRICT_1970).run([])
+        Idealizer("TOO WIDE", [wide], strict=True).run([])
     tall = Subdivision(index=1, kk1=1, ll1=1, kk2=2, ll2=61)
     with pytest.raises(LimitError, match="vertical"):
-        Idealizer("TOO TALL", [tall], limits=STRICT_1970).run([])
+        Idealizer("TOO TALL", [tall], strict=True).run([])
 
 
 def test_table2_subdivision_cap_rejected():
     subs = [Subdivision(index=i, kk1=1, ll1=i, kk2=2, ll2=i + 1)
             for i in range(1, 52)]
     with pytest.raises(LimitError, match="subdivisions"):
-        Idealizer("TOO MANY SUBDVNS", subs, limits=STRICT_1970).run([])
+        Idealizer("TOO MANY SUBDVNS", subs, strict=True).run([])

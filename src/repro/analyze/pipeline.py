@@ -68,9 +68,7 @@ from repro.pipeline.runner import Pipeline
 from repro.pipeline.stage import stage
 
 #: Seed keys of the per-problem analyze pipeline.
-ANALYZE_INPUTS: Tuple[str, ...] = PROBLEM_INPUTS + (
-    "spec", "title", "ospl_limits",
-)
+ANALYZE_INPUTS: Tuple[str, ...] = PROBLEM_INPUTS + ("spec", "title")
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +429,7 @@ def _static_field(name: str, spec: AnalyzeSpec, disp: np.ndarray,
     return stresses.nodal(StressComponent(name))
 
 
-@stage("isograms", requires=("mesh", "fields", "title", "ospl_limits"),
+@stage("isograms", requires=("mesh", "fields", "title", "strict"),
        provides=("plots", "frames"),
        fingerprint=lambda ctx: stable_digest(ctx["title"]),
        span_attrs=lambda ctx: {"fields": len(ctx["fields"])})
@@ -443,7 +441,7 @@ def isograms_stage(ctx: Context) -> Dict[str, Any]:
         plots[name] = conplt(
             mesh, nodal, title=ctx["title"],
             subtitle=f"{name.upper()} ISOGRAM",
-            limits=ctx["ospl_limits"],
+            strict=ctx["strict"],
         )
     obs.count("analyze.isograms", len(plots))
     return {"plots": plots,

@@ -21,10 +21,6 @@ from repro.analyze.deck import AnalyzeDeck, read_analyze_deck
 from repro.analyze.pipeline import analyze_problem_pipeline
 from repro.cards.card import deck_fingerprint
 from repro.cards.reader import CardReader
-from repro.core.idlz.limits import IdlzLimits
-from repro.core.idlz.limits import UNLIMITED as IDLZ_UNLIMITED
-from repro.core.ospl.limits import OsplLimits
-from repro.core.ospl.limits import UNLIMITED as OSPL_UNLIMITED
 from repro.core.ospl.plot import ContourPlot
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
@@ -94,24 +90,26 @@ class AnalyzeRun:
 
 
 def run_analyze(reader: CardReader,
-                limits: IdlzLimits = IDLZ_UNLIMITED,
-                ospl_limits: OsplLimits = OSPL_UNLIMITED,
+                strict: bool = False,
                 stage_cache: Optional[StageCache] = None) -> AnalyzeRun:
-    """Execute the full analyze program on a card tray."""
+    """Execute the full analyze program on a card tray.
+
+    ``strict`` enforces Tables 1 and 2: the first restriction the deck
+    goes past raises :class:`~repro.errors.LimitError` naming its card.
+    """
     deck = read_analyze_deck(reader)
     log.info("deck read: %r, %s analysis", deck.title, deck.spec.analysis)
     with obs.span("analyze.problem", title=deck.title,
-                  analysis=deck.spec.analysis):
+                  analysis=deck.spec.analysis), deck.problem.cards_named():
         result = analyze_problem_pipeline().run({
             "subdivisions": deck.problem.subdivisions,
             "segments": deck.problem.segments,
-            "limits": limits,
+            "strict": strict,
             "prefer_pairs": {},
             "reform": True,
             "renumber": bool(deck.problem.nonumb),
             "spec": deck.spec,
             "title": deck.title,
-            "ospl_limits": ospl_limits,
         }, cache=stage_cache)
         run = AnalyzeRun(
             deck=deck,
@@ -131,8 +129,7 @@ def run_analyze(reader: CardReader,
 
 def run_analyze_files(deck_path: Union[str, Path],
                       out_dir: Union[str, Path],
-                      limits: IdlzLimits = IDLZ_UNLIMITED,
-                      ospl_limits: OsplLimits = OSPL_UNLIMITED,
+                      strict: bool = False,
                       stage_cache: Optional[StageCache] = None
                       ) -> AnalyzeRun:
     """Run analyze on a deck file and write all products under ``out_dir``.
@@ -145,8 +142,8 @@ def run_analyze_files(deck_path: Union[str, Path],
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = deck_path.read_text()
-    run = run_analyze(CardReader.from_text(text), limits=limits,
-                      ospl_limits=ospl_limits, stage_cache=stage_cache)
+    run = run_analyze(CardReader.from_text(text), strict=strict,
+                      stage_cache=stage_cache)
     artifacts: List[str] = []
     for name, plot in sorted(run.plots.items()):
         out = out_dir / f"isogram_{name}.svg"

@@ -80,9 +80,7 @@ def _execute(spec: Dict[str, Any]
     per-stage execution records (cache hit/miss, wall time) the manifest
     embeds.
     """
-    from repro.core.idlz import limits as idlz_limits
     from repro.core.idlz.program import run_idlz_files
-    from repro.core.ospl import limits as ospl_limits
     from repro.core.ospl.program import run_ospl_files
     from repro.pipeline.cache import StageCache
 
@@ -97,10 +95,9 @@ def _execute(spec: Dict[str, Any]
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_cache = (StageCache(spec["stage_cache"])
                    if spec.get("stage_cache") else None)
+    strict = bool(spec.get("strict"))
     if spec["program"] == "idlz":
-        limits = (idlz_limits.STRICT_1970 if spec.get("strict")
-                  else idlz_limits.UNLIMITED)
-        runs = run_idlz_files(deck, out_dir, limits=limits,
+        runs = run_idlz_files(deck, out_dir, strict=strict,
                               stage_cache=stage_cache)
         return (
             {"problems": [run.summary_dict() for run in runs]},
@@ -109,18 +106,11 @@ def _execute(spec: Dict[str, Any]
     if spec["program"] == "analyze":
         from repro.analyze.program import run_analyze_files
 
-        idlz_lim = (idlz_limits.STRICT_1970 if spec.get("strict")
-                    else idlz_limits.UNLIMITED)
-        ospl_lim = (ospl_limits.STRICT_1970 if spec.get("strict")
-                    else ospl_limits.UNLIMITED)
-        analyze_run = run_analyze_files(deck, out_dir, limits=idlz_lim,
-                                        ospl_limits=ospl_lim,
+        analyze_run = run_analyze_files(deck, out_dir, strict=strict,
                                         stage_cache=stage_cache)
         return ({"problems": [analyze_run.summary_dict()]},
                 analyze_run.stage_dicts())
-    limits = (ospl_limits.STRICT_1970 if spec.get("strict")
-              else ospl_limits.UNLIMITED)
-    run = run_ospl_files(deck, out_dir / "plot.svg", limits=limits,
+    run = run_ospl_files(deck, out_dir / "plot.svg", strict=strict,
                          stage_cache=stage_cache)
     return {"problems": [run.summary_dict()]}, run.stage_dicts()
 

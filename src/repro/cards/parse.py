@@ -13,8 +13,8 @@ of what a deck says.  A parse walks the card images a
   analysis honours -- as diagnostics instead of raising, parsing as far
   as the deck stays coherent;
 * defers semantic validation: a subdivision whose corners do not span a
-  box still parses (:meth:`RawSubdivision.build` constructs the strict
-  :class:`~repro.core.idlz.subdivision.Subdivision`).
+  box still parses (:meth:`RawSubdivision.build` refuses it on its
+  card, with the same code and words lint reports).
 
 The runtime readers refuse a deck on the first of those diagnostics
 (:func:`read_or_refuse`); lint reports them all.  A deck that lints
@@ -40,8 +40,8 @@ from repro.cards.card import CARD_WIDTH
 from repro.cards.fortran_format import FortranFormat
 from repro.cards.reader import CardReader
 from repro.core.idlz.shaping import ShapingSegment
-from repro.core.idlz.subdivision import Subdivision
-from repro.errors import CardError, FormatError
+from repro.core.idlz.subdivision import Fault, Subdivision, subdivision_faults
+from repro.errors import CardError, FormatError, IdealizationError
 
 if TYPE_CHECKING:
     from repro.lint.diagnostics import Diagnostic
@@ -132,8 +132,18 @@ class RawSubdivision:
     ntaprw: int
     ntapcm: int
 
+    def faults(self) -> List[Fault]:
+        """The card's geometry faults (IDZ101-103, IDZ106)."""
+        return subdivision_faults(self.kk1, self.ll1, self.kk2, self.ll2,
+                                  self.ntaprw, self.ntapcm)
+
     def build(self) -> Subdivision:
-        """The strict runtime object (raises ``IdealizationError``)."""
+        """The runtime object; the card's first geometry fault is
+        refused as ``IdealizationError("card N (IDZ10x): ...")``."""
+        faults = self.faults()
+        if faults:
+            raise IdealizationError(
+                f"card {self.card.number} ({faults[0].code}): {faults[0]}")
         return Subdivision(index=self.index, kk1=self.kk1, ll1=self.ll1,
                            kk2=self.kk2, ll2=self.ll2,
                            ntaprw=self.ntaprw, ntapcm=self.ntapcm)
@@ -197,6 +207,13 @@ class RawIdlzProblem:
     segments: List[RawSegment] = field(default_factory=list)
     nodal_format: Optional[RawFormat] = None
     element_format: Optional[RawFormat] = None
+
+    def limit_card(self, index: Optional[int]) -> Optional[CardView]:
+        """The card a Table-2 excess is reported on: subdivision
+        ``index``'s type-4 card for a corner past the grid, the type-3
+        option card for a count."""
+        return next((raw.card for raw in self.subdivisions
+                     if raw.index == index), self.option_card)
 
 
 @dataclass

@@ -576,12 +576,9 @@ def _run_idlz(args: argparse.Namespace) -> int:
         result = lint_text(args.deck.read_text(), str(args.deck),
                            program="idlz", strict=args.strict)
         return _print_lint_text([result], args.quiet)
-    from repro.core.idlz import limits as idlz_limits
     from repro.core.idlz.program import run_idlz_files
 
-    limits = (idlz_limits.STRICT_1970 if args.strict
-              else idlz_limits.UNLIMITED)
-    runs = run_idlz_files(args.deck, args.out, limits=limits,
+    runs = run_idlz_files(args.deck, args.out, strict=args.strict,
                           stage_cache=_stage_cache(args))
     if not args.quiet:
         for i, run in enumerate(runs, start=1):
@@ -598,13 +595,10 @@ def _run_idlz(args: argparse.Namespace) -> int:
 
 
 def _run_ospl(args: argparse.Namespace) -> int:
-    from repro.core.ospl import limits as ospl_limits
     from repro.core.ospl.program import run_ospl_files
     from repro.plotter.ascii_art import render_ascii
 
-    limits = (ospl_limits.STRICT_1970 if args.strict
-              else ospl_limits.UNLIMITED)
-    run = run_ospl_files(args.deck, args.out, limits=limits,
+    run = run_ospl_files(args.deck, args.out, strict=args.strict,
                          stage_cache=_stage_cache(args))
     plot = run.plot
     if not args.quiet:
@@ -618,15 +612,8 @@ def _run_ospl(args: argparse.Namespace) -> int:
 
 def _run_analyze(args: argparse.Namespace) -> int:
     from repro.analyze.program import run_analyze_files
-    from repro.core.idlz import limits as idlz_limits
-    from repro.core.ospl import limits as ospl_limits
 
-    limits = (idlz_limits.STRICT_1970 if args.strict
-              else idlz_limits.UNLIMITED)
-    olimits = (ospl_limits.STRICT_1970 if args.strict
-               else ospl_limits.UNLIMITED)
-    run = run_analyze_files(args.deck, args.out, limits=limits,
-                            ospl_limits=olimits,
+    run = run_analyze_files(args.deck, args.out, strict=args.strict,
                             stage_cache=_stage_cache(args))
     if not args.quiet:
         print(run.listing(), end="")

@@ -6,7 +6,6 @@ Public surface:
 * :class:`Idealizer` / :class:`Idealization` -- the program and its result
 * :mod:`repro.core.idlz.output` -- plots, listing, punched cards
 * :mod:`repro.core.idlz.deck`   -- the Appendix-B card deck reader/writer
-* :mod:`repro.core.idlz.limits` -- the Table-2 restrictions
 """
 
 from repro._lazy import lazy_exports
@@ -18,7 +17,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.idlz.elements": ["create_elements", "triangulate_strip"],
     "repro.core.idlz.reform": ["reform_elements", "quality_report"],
     "repro.core.idlz.pipeline": ["Idealizer", "Idealization"],
-    "repro.core.idlz.limits": ["IdlzLimits", "STRICT_1970", "UNLIMITED"],
     "repro.core.idlz.output": [
         "plot_mesh", "plot_idealization", "plot_subdivision", "plot_all",
         "print_listing", "punch_cards", "DEFAULT_NODAL_FORMAT",

@@ -22,8 +22,9 @@ produces.  F8.4 fields honour FORTRAN implied-decimal input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cards.parse import (
     IDLZ_TYPE1,
@@ -37,10 +38,10 @@ from repro.cards.parse import (
 )
 from repro.cards.reader import CardReader
 from repro.cards.writer import CardWriter
-from repro.core.idlz.limits import IdlzLimits, UNLIMITED
 from repro.core.idlz.pipeline import Idealization, Idealizer
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
+from repro.errors import LimitError
 
 #: The FORMATs "compatible with the finite element analysis program of
 #: reference 1" quoted in Appendix B.
@@ -60,19 +61,34 @@ class IdlzProblem:
     nopnch: int = 0
     nodal_format: str = DEFAULT_NODAL_FORMAT
     element_format: str = DEFAULT_ELEMENT_FORMAT
+    #: The parsed cards, when the problem came off a deck.
+    source: Optional[RawIdlzProblem] = field(default=None, compare=False,
+                                             repr=False)
 
-    def idealizer(self, limits: IdlzLimits = UNLIMITED,
+    def idealizer(self, strict: bool = False,
                   prefer_pairs: Optional[Dict[int, str]] = None) -> Idealizer:
         return Idealizer(
             title=self.title,
             subdivisions=self.subdivisions,
             renumber=bool(self.nonumb),
-            limits=limits,
+            strict=strict,
             prefer_pairs=prefer_pairs,
         )
 
-    def run(self, limits: IdlzLimits = UNLIMITED) -> Idealization:
-        return self.idealizer(limits=limits).run(self.segments)
+    def run(self, strict: bool = False) -> Idealization:
+        with self.cards_named():
+            return self.idealizer(strict=strict).run(self.segments)
+
+    @contextmanager
+    def cards_named(self) -> Iterator[None]:
+        """Name the deck card of a :class:`LimitError` raised inside."""
+        try:
+            yield
+        except LimitError as exc:
+            card = self.source.limit_card(exc.index) if self.source else None
+            if card is None:
+                raise
+            raise exc.at_card(card.number) from None
 
     def input_value_count(self) -> int:
         """Data values the analyst keypunched for this problem.
@@ -99,8 +115,9 @@ class IdlzProblem:
 def read_idlz_deck(reader: CardReader) -> List[IdlzProblem]:
     """Parse a full IDLZ card deck into problems.
 
-    Refuses the deck on the first error of :func:`parse_idlz`; the
-    strict :class:`Subdivision` build then raises its own typed errors.
+    Refuses the deck on the first error of :func:`parse_idlz`, then on
+    the first geometry fault of a type-4 card, as
+    ``IdealizationError("card N (IDZ10x): ...")``.
     """
     model = read_or_refuse(parse_idlz, reader)
     return [problem_from_raw(raw) for raw in model.problems]
@@ -119,6 +136,7 @@ def problem_from_raw(raw: RawIdlzProblem) -> IdlzProblem:
         nopnch=raw.nopnch,
         nodal_format=raw.nodal_format.spec or DEFAULT_NODAL_FORMAT,
         element_format=raw.element_format.spec or DEFAULT_ELEMENT_FORMAT,
+        source=raw,
     )
 
 

@@ -67,39 +67,17 @@ def _merge_zipper(lower_ids: np.ndarray, lower_pos: np.ndarray,
     return out
 
 
-def _zipper_scalar(lower_ids: Sequence[int], lower_pos: Sequence[float],
-                   upper_ids: Sequence[int], upper_pos: Sequence[float]
-                   ) -> List[Triangle]:
-    """The original per-step zipper, kept for unsorted position inputs."""
-    triangles: List[Triangle] = []
-    i = j = 0
-    while i < len(lower_ids) - 1 or j < len(upper_ids) - 1:
-        can_lower = i < len(lower_ids) - 1
-        can_upper = j < len(upper_ids) - 1
-        if can_lower and can_upper:
-            # Advance the side whose next node is further left, so the
-            # zipper stays balanced; ties advance the lower strip first.
-            advance_lower = lower_pos[i + 1] <= upper_pos[j + 1]
-        else:
-            advance_lower = can_lower
-        if advance_lower:
-            triangles.append((lower_ids[i], lower_ids[i + 1], upper_ids[j]))
-            i += 1
-        else:
-            triangles.append((lower_ids[i], upper_ids[j + 1], upper_ids[j]))
-            j += 1
-    return triangles
-
-
 def triangulate_strip(lower_ids: Sequence[int], lower_pos: Sequence[float],
                       upper_ids: Sequence[int], upper_pos: Sequence[float]
                       ) -> List[Triangle]:
     """Zipper triangulation between two node strips.
 
-    ``*_pos`` are scalar along-strip lattice positions.  Triangles are
-    emitted CCW assuming the lower strip lies below the upper one (the
-    caller re-orients after shaping anyway).  A strip pair where either
-    side has a single node becomes a pure fan.
+    ``*_pos`` are scalar along-strip lattice positions, non-decreasing
+    along each strip (unsorted positions raise
+    :class:`IdealizationError`).  Triangles are emitted CCW assuming the
+    lower strip lies below the upper one (the caller re-orients after
+    shaping anyway).  A strip pair where either side has a single node
+    becomes a pure fan.
     """
     if len(lower_ids) != len(lower_pos) or len(upper_ids) != len(upper_pos):
         raise IdealizationError("strip ids and positions disagree in length")
@@ -110,9 +88,7 @@ def triangulate_strip(lower_ids: Sequence[int], lower_pos: Sequence[float],
     lo_pos = np.asarray(lower_pos, dtype=float)
     up_pos = np.asarray(upper_pos, dtype=float)
     if np.any(np.diff(lo_pos) < 0) or np.any(np.diff(up_pos) < 0):
-        # The merge identity needs monotone positions; arbitrary inputs
-        # take the step-by-step path.
-        return _zipper_scalar(lower_ids, lower_pos, upper_ids, upper_pos)
+        raise IdealizationError("strip positions must not decrease")
     tris = _merge_zipper(
         np.asarray(lower_ids, dtype=np.int64), lo_pos,
         np.asarray(upper_ids, dtype=np.int64), up_pos,

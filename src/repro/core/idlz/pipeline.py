@@ -21,7 +21,6 @@ if TYPE_CHECKING:
     from repro.fem.quality import MeshQuality
 
 from repro.core.idlz.grid import LatticeGrid
-from repro.core.idlz.limits import IdlzLimits, UNLIMITED
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
 from repro.errors import IdealizationError
@@ -106,8 +105,9 @@ class Idealizer:
         Whether to run the element-reformation pass (the paper always
         does "where necessary"; turning it off is for the ablation
         benchmark).
-    limits:
-        Table-2 enforcement; ``STRICT_1970`` or a relaxed set.
+    strict:
+        Enforce Table 2 exactly: the first restriction the assemblage
+        goes past raises :class:`~repro.errors.LimitError`.
     prefer_pairs:
         Optional map subdivision-number -> ``'horizontal'``/``'vertical'``
         choosing the interpolation pair when both are located.
@@ -115,13 +115,13 @@ class Idealizer:
 
     def __init__(self, title: str, subdivisions: Sequence[Subdivision],
                  renumber: bool = True, reform: bool = True,
-                 limits: IdlzLimits = UNLIMITED,
+                 strict: bool = False,
                  prefer_pairs: Optional[Dict[int, str]] = None):
         self.title = title
         self.subdivisions = list(subdivisions)
         self.renumber = renumber
         self.reform = reform
-        self.limits = limits
+        self.strict = strict
         self.prefer_pairs = dict(prefer_pairs or {})
 
     def run(self, segments: Sequence[ShapingSegment]) -> Idealization:
@@ -141,7 +141,7 @@ class Idealizer:
             segments=segments,
             renumber=self.renumber,
             reform=self.reform,
-            limits=self.limits,
+            strict=self.strict,
             prefer_pairs=self.prefer_pairs,
         )
         return ideal

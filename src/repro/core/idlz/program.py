@@ -27,7 +27,6 @@ from repro import obs
 from repro.cards.reader import CardReader
 from repro.cards.writer import CardWriter
 from repro.core.idlz.deck import IdlzProblem
-from repro.core.idlz.limits import IdlzLimits, UNLIMITED
 from repro.core.idlz.pipeline import Idealization
 from repro.pipeline.cache import StageCache
 from repro.pipeline.idlz import idlz_problem_pipeline, read_pipeline
@@ -78,20 +77,25 @@ class IdlzRun:
 
 
 def run_idlz(reader: CardReader,
-             limits: IdlzLimits = UNLIMITED,
+             strict: bool = False,
              stage_cache: Optional[StageCache] = None) -> List[IdlzRun]:
-    """Execute the full IDLZ program on a card tray."""
+    """Execute the full IDLZ program on a card tray.
+
+    ``strict`` enforces Table 2: the first restriction a problem goes
+    past raises :class:`~repro.errors.LimitError` naming its card.
+    """
     problems = read_pipeline().run({"reader": reader})["problems"]
     log.info("deck read: %d problem(s)", len(problems))
     pipeline = idlz_problem_pipeline()
     runs: List[IdlzRun] = []
     for i, problem in enumerate(problems, start=1):
-        with obs.span("idlz.problem", index=i, title=problem.title):
+        with obs.span("idlz.problem", index=i, title=problem.title), \
+                problem.cards_named():
             log.info("problem %d: %r idealizing ...", i, problem.title)
             result = pipeline.run({
                 "subdivisions": problem.subdivisions,
                 "segments": problem.segments,
-                "limits": limits,
+                "strict": strict,
                 "prefer_pairs": {},
                 "reform": True,
                 "renumber": bool(problem.nonumb),
@@ -122,7 +126,7 @@ def run_idlz(reader: CardReader,
 
 def run_idlz_files(deck_path: Union[str, Path],
                    out_dir: Union[str, Path],
-                   limits: IdlzLimits = UNLIMITED,
+                   strict: bool = False,
                    stage_cache: Optional[StageCache] = None
                    ) -> List[IdlzRun]:
     """Run IDLZ on a deck file and write all products under ``out_dir``.
@@ -135,7 +139,7 @@ def run_idlz_files(deck_path: Union[str, Path],
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reader = CardReader.from_text(deck_path.read_text())
-    runs = run_idlz(reader, limits=limits, stage_cache=stage_cache)
+    runs = run_idlz(reader, strict=strict, stage_cache=stage_cache)
     for i, run in enumerate(runs, start=1):
         (out_dir / f"problem_{i}.listing.txt").write_text(run.listing)
         for j, frame in enumerate(run.frames, start=1):

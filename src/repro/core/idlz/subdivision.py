@@ -26,7 +26,7 @@ shaping) is phrased in terms of those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -38,10 +38,83 @@ SIDES = ("bottom", "right", "top", "left")
 
 LatticePoint = Tuple[int, int]
 
+#: Integer lattice coordinates start at 1 in both directions (the
+#: paper's grids are 1-based).
+MIN_K = 1
+MIN_L = 1
+
+#: The geometry faults a type-4 card can carry, as lint rule templates.
+FAULT_MESSAGES: Dict[str, str] = {
+    "IDZ101": "corners ({kk1},{ll1})-({kk2},{ll2}) do not span a box",
+    "IDZ102": "NTAPRW = {ntaprw} and NTAPCM = {ntapcm} cannot both be "
+              "non-zero",
+    "IDZ103": "{indicator} = {value} shrinks the short parallel side "
+              "below one node (would be {short})",
+    "IDZ106": "lattice corner ({kk1},{ll1}) is below the grid origin; "
+              "integer coordinates start at ({min_k},{min_l})",
+}
+
+
+@dataclass(frozen=True)
+class Fault:
+    """One geometry fault of a type-4 card."""
+
+    code: str
+    values: Dict[str, object]
+
+    def __str__(self) -> str:
+        return FAULT_MESSAGES[self.code].format(**self.values)
+
+
+def _short_side(along: int, across: int, taper: int) -> int:
+    """Nodes left on the short parallel side: each of the ``across - 1``
+    strip steps loses ``|taper|`` nodes at each end of ``along``."""
+    return along - 2 * abs(taper) * (across - 1)
+
+
+def subdivision_faults(kk1: int, ll1: int, kk2: int, ll2: int,
+                       ntaprw: int = 0, ntapcm: int = 0) -> List[Fault]:
+    """Every geometry fault of one subdivision's card fields, in the
+    order the runtime refuses them: IDZ101, IDZ106, IDZ102, IDZ103.
+
+    The one statement of what a type-4 card may say: the strict
+    :class:`Subdivision`, the deck readers, the number stage's origin
+    floor and ``repro lint`` all ask it.
+    """
+    faults: List[Fault] = []
+    boxed = kk2 > kk1 and ll2 > ll1
+    if not boxed:
+        faults.append(Fault("IDZ101", {"kk1": kk1, "ll1": ll1,
+                                       "kk2": kk2, "ll2": ll2}))
+    if kk1 < MIN_K or ll1 < MIN_L:
+        faults.append(Fault("IDZ106", {"kk1": kk1, "ll1": ll1,
+                                       "min_k": MIN_K, "min_l": MIN_L}))
+    if ntaprw and ntapcm:
+        faults.append(Fault("IDZ102", {"ntaprw": ntaprw,
+                                       "ntapcm": ntapcm}))
+    elif boxed:
+        n_rows = ll2 - ll1 + 1
+        n_cols = kk2 - kk1 + 1
+        for indicator, value, along, across in (
+                ("NTAPRW", ntaprw, n_cols, n_rows),
+                ("NTAPCM", ntapcm, n_rows, n_cols)):
+            short = _short_side(along, across, value)
+            if value and short < 1:
+                faults.append(Fault("IDZ103", {"indicator": indicator,
+                                               "value": value,
+                                               "short": short}))
+    return faults
+
 
 @dataclass(frozen=True)
 class Subdivision:
-    """One card-type-4 subdivision."""
+    """One card-type-4 subdivision.
+
+    Construction refuses the card faults IDZ101-103 as
+    :class:`IdealizationError`.  A corner below the lattice origin
+    (IDZ106) is a fault of the numbering, refused when the lattice is
+    numbered (and by the deck readers, on the card).
+    """
 
     index: int
     kk1: int
@@ -52,32 +125,14 @@ class Subdivision:
     ntapcm: int = 0
 
     def __post_init__(self) -> None:
-        if self.kk2 <= self.kk1 or self.ll2 <= self.ll1:
-            raise IdealizationError(
-                f"subdivision {self.index}: corners ({self.kk1},{self.ll1})"
-                f"-({self.kk2},{self.ll2}) do not span a box"
-            )
-        if self.ntaprw and self.ntapcm:
-            raise IdealizationError(
-                f"subdivision {self.index}: NTAPRW and NTAPCM cannot both "
-                "be non-zero"
-            )
-        if self.ntaprw:
-            short = self.n_cols - 2 * abs(self.ntaprw) * (self.n_rows - 1)
-            if short < 1:
-                raise IdealizationError(
-                    f"subdivision {self.index}: NTAPRW={self.ntaprw} "
-                    f"shrinks the short side below one node "
-                    f"(would be {short})"
-                )
-        if self.ntapcm:
-            short = self.n_rows - 2 * abs(self.ntapcm) * (self.n_cols - 1)
-            if short < 1:
-                raise IdealizationError(
-                    f"subdivision {self.index}: NTAPCM={self.ntapcm} "
-                    f"shrinks the short side below one node "
-                    f"(would be {short})"
-                )
+        faults = [f for f in self.faults() if f.code != "IDZ106"]
+        if faults:
+            raise IdealizationError(f"subdivision {self.index}: {faults[0]}")
+
+    def faults(self) -> List[Fault]:
+        """:func:`subdivision_faults` of this subdivision's fields."""
+        return subdivision_faults(self.kk1, self.ll1, self.kk2, self.ll2,
+                                  self.ntaprw, self.ntapcm)
 
     # ------------------------------------------------------------------
     # Basic shape queries
@@ -97,10 +152,10 @@ class Subdivision:
         """``'rectangle'``, ``'row_trapezoid'``, ``'column_trapezoid'``,
         or the degenerate ``'triangle'`` variants."""
         if self.ntaprw:
-            short = self.n_cols - 2 * abs(self.ntaprw) * (self.n_rows - 1)
+            short = _short_side(self.n_cols, self.n_rows, self.ntaprw)
             return "triangle" if short == 1 else "row_trapezoid"
         if self.ntapcm:
-            short = self.n_rows - 2 * abs(self.ntapcm) * (self.n_cols - 1)
+            short = _short_side(self.n_rows, self.n_cols, self.ntapcm)
             return "triangle" if short == 1 else "column_trapezoid"
         return "rectangle"
 

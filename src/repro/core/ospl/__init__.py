@@ -6,7 +6,6 @@ Public surface:
 * :func:`contour_mesh` / :class:`ContourSet` -- raw isogram extraction
 * :func:`choose_interval` -- the Appendix-D automatic interval
 * :mod:`repro.core.ospl.deck`   -- the Appendix-C card deck
-* :mod:`repro.core.ospl.limits` -- the Table-1 restrictions
 """
 
 from repro._lazy import lazy_exports
@@ -21,7 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                                  "boundary_edge_list", "boundary_pairs"],
     "repro.core.ospl.labels": ["Label", "format_level", "place_labels"],
     "repro.core.ospl.plot": ["ContourPlot", "conplt"],
-    "repro.core.ospl.limits": ["OsplLimits", "STRICT_1970", "UNLIMITED"],
     "repro.core.ospl.deck": ["OsplProblem", "read_ospl_deck",
                              "write_ospl_deck", "problem_from_analysis"],
     "repro.core.ospl.program": ["OsplRun", "run_ospl", "run_ospl_files"],

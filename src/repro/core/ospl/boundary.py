@@ -21,9 +21,10 @@ from repro.fem.mesh import Mesh
 def boundary_pairs(mesh: Mesh) -> Tuple[np.ndarray, np.ndarray]:
     """Node arrays ``(a, b)`` of the boundary edges whose endpoints the
     flags also call boundary, each edge in its first directed
-    occurrence, in edge-table order."""
-    flags = mesh.flags()
+    occurrence, in edge-table order.  Builds the mesh's edge table once
+    (flags the cards did not give are derived from that same table)."""
     table = mesh.edge_table()
+    flags = mesh.flags(table)
     sel = (table.count == 1) & (flags[table.a] > 0) & (flags[table.b] > 0)
     return table.a[sel], table.b[sel]
 

@@ -197,12 +197,11 @@ def contour_mesh(mesh: Mesh, field: NodalField,
     Appendix-D automatic choice.  ``window`` restricts the plot ("zoom").
     Runs the intervals and contour stages of :mod:`repro.pipeline.ospl`.
     """
-    from repro.core.ospl.limits import UNLIMITED
     from repro.pipeline.ospl import contour_pipeline
 
     result = contour_pipeline().run({
         "mesh": mesh, "field": field, "interval": interval,
-        "lowest": lowest, "window": window, "limits": UNLIMITED,
+        "lowest": lowest, "window": window, "strict": False,
     })
     contours: ContourSet = result["contours"]
     return contours

@@ -25,7 +25,6 @@ from repro.cards.parse import (
 )
 from repro.cards.reader import CardReader
 from repro.cards.writer import CardWriter
-from repro.core.ospl.limits import OsplLimits, UNLIMITED
 from repro.core.ospl.plot import ContourPlot, conplt
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
@@ -44,14 +43,14 @@ class OsplProblem:
     title1: str = ""
     title2: str = ""
 
-    def plot(self, limits: OsplLimits = UNLIMITED,
+    def plot(self, strict: bool = False,
              plotter: Optional[Plotter4020] = None) -> ContourPlot:
         interval = None if self.delta == 0.0 else self.delta
         return conplt(
             self.mesh, self.field,
             title=self.title1, subtitle=self.title2,
             interval=interval, window=self.window,
-            limits=limits, plotter=plotter,
+            strict=strict, plotter=plotter,
         )
 
     def input_value_count(self) -> int:

@@ -15,7 +15,7 @@ suppressed -- except that zero contours always win.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -52,17 +52,24 @@ def format_level(level: float) -> str:
     return text
 
 
-def boundary_label_candidates(contours: ContourSet) -> List[Label]:
+def boundary_label_candidates(
+        contours: ContourSet,
+        boundary: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> List[Label]:
     """Every contour/boundary intersection, as an unfiltered label list.
 
     One candidate is produced per (level, boundary crossing point); the
     crossing is detected by the endpoint's element edge being a boundary
     edge (its ``lo * n + hi`` key is a boundary row's).  Clipped
     endpoints (edge ``(-1, -1)``) sit on the zoom window and also qualify.
+    ``boundary`` is the mesh's :func:`boundary_pairs`, when the caller
+    already holds them.
     """
     mesh = contours.mesh
     n = mesh.n_nodes
-    a, b = (v.astype(np.int64) for v in boundary_pairs(mesh))
+    if boundary is None:
+        boundary = boundary_pairs(mesh)
+    a, b = (v.astype(np.int64) for v in boundary)
     # Sorted, with a sentinel above every real key for the lookups.
     boundary_keys = np.sort(np.append(np.minimum(a, b) * n + np.maximum(a, b),
                                       np.iinfo(np.int64).max))
@@ -112,14 +119,16 @@ def _near_nodes(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 def place_labels(contours: ContourSet, cmap: CoordinateMap,
-                 size: int = 9) -> List[Label]:
+                 size: int = 9,
+                 boundary: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                 ) -> List[Label]:
     """Select the labels to draw, suppressing overlaps.
 
     Zero contours are placed first so they always survive; the rest are
     placed in boundary order and dropped when their raster text box would
     intersect one already placed.
     """
-    candidates = boundary_label_candidates(contours)
+    candidates = boundary_label_candidates(contours, boundary)
     candidates.sort(key=lambda lab: (lab.level != 0.0, lab.level,
                                      lab.x, lab.y))
     placed: List[Label] = []

@@ -15,7 +15,6 @@ from typing import List, Optional
 
 from repro.core.ospl.contour import ContourSet
 from repro.core.ospl.labels import Label
-from repro.core.ospl.limits import OsplLimits, UNLIMITED
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
 from repro.geometry.primitives import BoundingBox
@@ -47,7 +46,7 @@ def conplt(mesh: Mesh, field: NodalField,
            interval: Optional[float] = None,
            lowest: Optional[float] = None,
            window: Optional[BoundingBox] = None,
-           limits: OsplLimits = UNLIMITED,
+           strict: bool = False,
            plotter: Optional[Plotter4020] = None,
            label_size: int = 9,
            stroke_labels: bool = False) -> ContourPlot:
@@ -55,7 +54,8 @@ def conplt(mesh: Mesh, field: NodalField,
 
     Parameters mirror the type-1 card: ``interval`` of ``None``/0 engages
     the automatic Appendix-D choice, ``window`` is the XMN/XMX/YMN/YMN
-    zoom, ``limits`` enforces Table 1 when strict.  ``stroke_labels``
+    zoom, ``strict`` enforces Table 1 (a
+    :class:`~repro.errors.LimitError` past it).  ``stroke_labels``
     draws every annotation through the SC-4020 character generator so
     the frame is pure vector strokes, as the film was.
 
@@ -72,7 +72,7 @@ def conplt(mesh: Mesh, field: NodalField,
         "interval": interval,
         "lowest": lowest,
         "window": window,
-        "limits": limits,
+        "strict": strict,
         "title": title,
         "subtitle": subtitle,
         "plotter": plotter,

@@ -17,9 +17,8 @@ from typing import Dict, List, Optional, Union
 
 from repro.cards.reader import CardReader
 from repro.core.ospl.deck import OsplProblem
-from repro.core.ospl.limits import OsplLimits, UNLIMITED
 from repro.core.ospl.plot import ContourPlot
-from repro.errors import PlotterError
+from repro.errors import LimitError, PlotterError
 from repro.pipeline.cache import StageCache
 from repro.pipeline.ospl import ospl_pipeline
 from repro.pipeline.runner import StageRecord
@@ -58,17 +57,25 @@ class OsplRun:
 
 
 def run_ospl(reader: CardReader,
-             limits: OsplLimits = UNLIMITED,
+             strict: bool = False,
              stage_cache: Optional[StageCache] = None) -> OsplRun:
-    """Execute the standalone OSPL program on a card tray."""
-    result = ospl_pipeline().run({
-        "reader": reader,
-        "limits": limits,
-        "lowest": None,
-        "plotter": None,
-        "label_size": 9,
-        "stroke_labels": False,
-    }, cache=stage_cache)
+    """Execute the standalone OSPL program on a card tray.
+
+    ``strict`` enforces Table 1: a deck past it raises
+    :class:`~repro.errors.LimitError` naming its type-1 card.
+    """
+    type1_card = reader.position + 1
+    try:
+        result = ospl_pipeline().run({
+            "reader": reader,
+            "strict": strict,
+            "lowest": None,
+            "plotter": None,
+            "label_size": 9,
+            "stroke_labels": False,
+        }, cache=stage_cache)
+    except LimitError as exc:
+        raise exc.at_card(type1_card) from None
     problem = result["problem"]
     log.info("deck read: %r, %d nodes, %d elements", problem.title1,
              problem.mesh.n_nodes, problem.mesh.n_elements)
@@ -86,7 +93,7 @@ _WRITERS = {".svg": "svg", ".png": "png", ".txt": "text"}
 
 def run_ospl_files(deck_path: Union[str, Path],
                    out_path: Union[str, Path],
-                   limits: OsplLimits = UNLIMITED,
+                   strict: bool = False,
                    stage_cache: Optional[StageCache] = None) -> OsplRun:
     """Run OSPL on a deck file and write the frame to ``out_path``.
 
@@ -106,7 +113,7 @@ def run_ospl_files(deck_path: Union[str, Path],
             f"use one of {known}, or no extension for SVG"
         )
     reader = CardReader.from_text(deck_path.read_text())
-    run = run_ospl(reader, limits=limits, stage_cache=stage_cache)
+    run = run_ospl(reader, strict=strict, stage_cache=stage_cache)
     backend = _WRITERS.get(suffix.lower(), "svg")
     if backend == "png":
         from repro.plotter.png import save_png

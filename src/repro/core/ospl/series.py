@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.ospl.intervals import choose_interval
-from repro.core.ospl.limits import OsplLimits, UNLIMITED
 from repro.core.ospl.plot import ContourPlot, conplt
 from repro.errors import ContourError
 from repro.fem.mesh import Mesh
@@ -33,7 +32,7 @@ def plot_increments(mesh: Mesh, fields: Sequence[NodalField],
                     shared_interval: bool = True,
                     interval: Optional[float] = None,
                     window: Optional[BoundingBox] = None,
-                    limits: OsplLimits = UNLIMITED,
+                    strict: bool = False,
                     stroke_labels: bool = False) -> List[ContourPlot]:
     """One contour plot per field, captioned with its increment number.
 
@@ -55,7 +54,7 @@ def plot_increments(mesh: Mesh, fields: Sequence[NodalField],
                    f"INCREMENT NUMBER {i}")
         plots.append(conplt(
             mesh, field, title=title, subtitle=caption,
-            interval=interval, window=window, limits=limits,
+            interval=interval, window=window, strict=strict,
             plotter=plotter, stroke_labels=stroke_labels,
         ))
     plotter.drop_empty_frames()

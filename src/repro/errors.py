@@ -8,6 +8,8 @@ exception carrying the same diagnostic.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""
@@ -33,16 +35,33 @@ class LimitError(ReproError):
     """A Table 1 / Table 2 numerical restriction was exceeded in strict mode.
 
     Carries the name of the limit, the offending value, and the maximum so
-    that harnesses can report the exact restriction that tripped.
+    that harnesses can report the exact restriction that tripped, plus the
+    lint code (``LIM0xx``), its message (``detail``) and, for a corner
+    past the grid, the subdivision (``index``).  A run that came from a
+    deck names the card as well, in the form the deck readers refuse
+    with: ``card N (LIM0xx): <the lint message>``.
     """
 
-    def __init__(self, name: str, value: int, maximum: int):
+    def __init__(self, name: str, value: int, maximum: int,
+                 code: str = "", detail: str = "",
+                 index: Optional[int] = None, card: int = 0):
         self.name = name
         self.value = value
         self.maximum = maximum
+        self.code = code
+        self.detail = detail
+        self.index = index
+        self.card = card
         super().__init__(
+            f"card {card} ({code}): {detail}" if card else
             f"{name} = {value} exceeds the 1970 restriction of {maximum}"
         )
+
+    def at_card(self, card: int) -> "LimitError":
+        """The same excess, located on deck card ``card``."""
+        return LimitError(self.name, self.value, self.maximum,
+                          code=self.code, detail=self.detail,
+                          index=self.index, card=card)
 
 
 class IdealizationError(ReproError):

@@ -223,10 +223,13 @@ class Mesh:
         sel = table.count == 1
         return list(zip(table.a[sel].tolist(), table.b[sel].tolist()))
 
-    def compute_boundary_flags(self) -> np.ndarray:
-        """Derive the OSPL flags (0/1/2) from the connectivity."""
+    def compute_boundary_flags(self, table: Optional[EdgeTable] = None
+                               ) -> np.ndarray:
+        """Derive the OSPL flags (0/1/2) from the connectivity (from
+        ``table`` when the caller already holds this mesh's edges)."""
         flags = np.zeros(self.n_nodes, dtype=int)
-        table = self.edge_table()
+        if table is None:
+            table = self.edge_table()
         sel = table.count == 1
         on_boundary = np.zeros(self.n_nodes, dtype=bool)
         on_boundary[table.a[sel]] = True
@@ -240,10 +243,11 @@ class Mesh:
         self.boundary_flags = flags
         return flags
 
-    def flags(self) -> np.ndarray:
-        """Boundary flags, computing them if absent."""
+    def flags(self, table: Optional[EdgeTable] = None) -> np.ndarray:
+        """Boundary flags, computing them (from ``table``, if given) when
+        absent."""
         if self.boundary_flags is None:
-            return self.compute_boundary_flags()
+            return self.compute_boundary_flags(table)
         return self.boundary_flags
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cards.parse import RawIdlzProblem, RawSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.errors import IdealizationError, LimitError
+from repro.errors import IdealizationError
 
 
 class ProblemAnalysis:
@@ -58,24 +58,13 @@ class ProblemAnalysis:
         self._counts_known = True
         if not self.complete or not self.built:
             return None
-        try:
-            from repro.core.idlz.limits import UNLIMITED
-            from repro.pipeline.idlz import analysis_pipeline
+        from repro.pipeline.idlz import lattice_counts
 
-            # The number -> elements slice of the program pipeline,
-            # mutation-free: it derives the counts the full run would
-            # produce without shaping, reforming or touching disk.
-            result = analysis_pipeline("lint").run({
-                "subdivisions": list(self.built.values()),
-                "limits": UNLIMITED,
-            })
-        except (IdealizationError, LimitError):
-            # LimitError covers the structural MIN_K floor the pipeline
-            # always enforces; lint reports such decks through its own
-            # geometry rules instead of crashing the analysis.
-            return None
-        self._counts = (result["grid"].n_nodes,
-                        len(result["triangles"]))
+        # The number -> elements slice of the program pipeline: the
+        # counts the full run would produce, without shaping, reforming
+        # or touching disk.
+        counts = lattice_counts(list(self.built.values()), "lint")
+        self._counts = (counts.n_nodes, counts.n_elements)
         return self._counts
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.cards.parse import IdlzDeckModel, RawSegment
 from repro.errors import ArcError
 from repro.geometry.arc import arc_through
 from repro.geometry.primitives import Point
-from repro.limits import MIN_K, MIN_L
+from repro.core.idlz.subdivision import FAULT_MESSAGES
 from repro.lint.analysis import ProblemAnalysis
 from repro.lint.context import LintContext
 from repro.lint.registry import checker, register_rule
@@ -107,22 +107,21 @@ unknowable.""")
 
 register_rule(
     "IDZ101", "error", "corners do not span a box",
-    "corners ({kk1},{ll1})-({kk2},{ll2}) do not span a box",
+    FAULT_MESSAGES["IDZ101"],
     """A type-4 card gives the lower-left (KK1, LL1) and upper-right
 (KK2, LL2) integer corners of the subdivision's bounding box; KK2 must
 exceed KK1 and LL2 must exceed LL1 or there is no box to mesh.""")
 
 register_rule(
     "IDZ102", "error", "both trapezoid indicators set",
-    "NTAPRW = {ntaprw} and NTAPCM = {ntapcm} cannot both be non-zero",
+    FAULT_MESSAGES["IDZ102"],
     """A subdivision is a row trapezoid (NTAPRW) or a column trapezoid
 (NTAPCM), never both; the two indicators describe perpendicular taper
 directions.""")
 
 register_rule(
     "IDZ103", "error", "taper shrinks short side away",
-    "{indicator} = {value} shrinks the short parallel side below one "
-    "node (would be {short})",
+    FAULT_MESSAGES["IDZ103"],
     """Each lattice row (or column) towards the short parallel side
 loses |NTAPRW| (|NTAPCM|) nodes on each end; with too strong a taper
 the short side vanishes before the box is crossed.  The limit case of
@@ -147,11 +146,10 @@ corners and leaves a gap in the idealized structure.""")
 
 register_rule(
     "IDZ106", "error", "lattice coordinate below origin",
-    "lattice corner ({kk1},{ll1}) is below the grid origin; integer "
-    "coordinates start at ({min_k},{min_l})",
+    FAULT_MESSAGES["IDZ106"],
     """The integer grid of the paper is 1-based: NUMBER(41, 61) had no
 row or column zero.  Zero or negative corners address storage that does
-not exist, whatever the Table-2 maxima are set to.""")
+not exist, so every run refuses the card, ``--strict`` or not.""")
 
 # ----------------------------------------------------------------------
 # Shaping rules
@@ -265,33 +263,8 @@ def check_geometry(ctx: LintContext, model: IdlzDeckModel,
     for problem in model.problems:
         where = f"problem {problem.number}"
         for raw in problem.subdivisions:
-            boxed = raw.kk2 > raw.kk1 and raw.ll2 > raw.ll1
-            if not boxed:
-                ctx.emit("IDZ101", raw.card, where, kk1=raw.kk1,
-                         ll1=raw.ll1, kk2=raw.kk2, ll2=raw.ll2)
-            if raw.kk1 < MIN_K or raw.ll1 < MIN_L:
-                ctx.emit("IDZ106", raw.card, where, kk1=raw.kk1,
-                         ll1=raw.ll1, min_k=MIN_K, min_l=MIN_L)
-            if raw.ntaprw and raw.ntapcm:
-                ctx.emit("IDZ102", raw.card, where, ntaprw=raw.ntaprw,
-                         ntapcm=raw.ntapcm)
-                continue
-            if not boxed:
-                continue
-            n_rows = raw.ll2 - raw.ll1 + 1
-            n_cols = raw.kk2 - raw.kk1 + 1
-            if raw.ntaprw:
-                short = n_cols - 2 * abs(raw.ntaprw) * (n_rows - 1)
-                if short < 1:
-                    ctx.emit("IDZ103", raw.card, where,
-                             indicator="NTAPRW", value=raw.ntaprw,
-                             short=short)
-            if raw.ntapcm:
-                short = n_rows - 2 * abs(raw.ntapcm) * (n_cols - 1)
-                if short < 1:
-                    ctx.emit("IDZ103", raw.card, where,
-                             indicator="NTAPCM", value=raw.ntapcm,
-                             short=short)
+            for fault in raw.faults():
+                ctx.emit(fault.code, raw.card, where, **fault.values)
 
 
 @checker("idlz")

@@ -40,7 +40,8 @@ from repro.errors import PipelineError
 
 #: Stage-entry format version (bump to orphan old entries wholesale).
 #: v2: a ContourSet holds per-level arrays, not segment objects.
-STAGE_SCHEMA = "repro.stage-cache/v2"
+#: v3: the OSPL labels stage also provides the boundary edge pairs.
+STAGE_SCHEMA = "repro.stage-cache/v3"
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ exactly the first stage that reads the edited cards:
     =========  =====================================================
     stage      direct parameters in its fingerprint
     =========  =====================================================
-    number     type-4 subdivision cards, Table-2 limits
+    number     type-4 subdivision cards, the strict flag
     elements   (pure function of the grid -- upstream key only)
     shape      type-6 shaping cards, preferred interpolation pairs
     reform     the reform on/off option
@@ -34,15 +34,14 @@ hits, wall times) as well.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
-from repro import obs
+from repro import limits, obs
 from repro.core.idlz.elements import create_elements
 from repro.core.idlz.grid import LatticeGrid
-from repro.core.idlz.limits import IdlzLimits, UNLIMITED
 from repro.core.idlz.reform import reform_elements
 from repro.core.idlz.shaping import Shaper, ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
@@ -72,28 +71,34 @@ def read_stage(ctx: Context) -> Dict[str, Any]:
     return {"problems": read_idlz_deck(ctx["reader"])}
 
 
-@stage("number", requires=("subdivisions", "limits"), provides=("grid",),
+@stage("number", requires=("subdivisions", "strict"), provides=("grid",),
        fingerprint=lambda ctx: stable_digest(ctx["subdivisions"],
-                                             ctx["limits"]),
+                                             ctx["strict"]),
        span_attrs=lambda ctx: {"subdivisions": len(ctx["subdivisions"])})
 def number_stage(ctx: Context) -> Dict[str, Any]:
     """Number the lattice nodes left-to-right, bottom-to-top."""
-    limits: IdlzLimits = ctx["limits"]
-    limits.check_subdivisions(ctx["subdivisions"])
-    grid = LatticeGrid(ctx["subdivisions"])
+    subdivisions: Sequence[Subdivision] = ctx["subdivisions"]
+    for sub in subdivisions:
+        # A built subdivision's only possible fault: a corner below the
+        # lattice origin (IDZ106), which no numbering can address.
+        faults = sub.faults()
+        if faults:
+            raise IdealizationError(f"subdivision {sub.index}: {faults[0]}")
+    limits.check(limits.grid_excesses(subdivisions), ctx["strict"])
+    grid = LatticeGrid(subdivisions)
     obs.count("idlz.nodes_numbered", grid.n_nodes)
     return {"grid": grid}
 
 
-@stage("elements", requires=("grid", "limits"),
+@stage("elements", requires=("grid", "strict"),
        provides=("triangles", "groups", "lattice_mesh"),
        fingerprint=lambda ctx: "-")
 def elements_stage(ctx: Context) -> Dict[str, Any]:
     """Create the triangles and the integer-lattice mesh."""
     grid: LatticeGrid = ctx["grid"]
-    limits: IdlzLimits = ctx["limits"]
     triangles, groups = create_elements(grid)
-    limits.check_counts(grid.n_nodes, len(triangles))
+    limits.check(limits.count_excesses("idlz", grid.n_nodes,
+                                       len(triangles)), ctx["strict"])
     lattice_mesh = Mesh(
         nodes=grid.lattice_coordinates_array(),
         elements=np.array(triangles, dtype=int),
@@ -258,7 +263,7 @@ def assemble_idealization(ctx: Context) -> "Idealization":
 
 #: Seed keys of the per-problem pipelines.
 PROBLEM_INPUTS: Tuple[str, ...] = (
-    "subdivisions", "segments", "limits", "prefer_pairs",
+    "subdivisions", "segments", "strict", "prefer_pairs",
     "reform", "renumber",
 )
 
@@ -276,7 +281,7 @@ def idealization_pipeline() -> Pipeline:
     """number -> elements -> shape -> reform -> renumber.
 
     The in-memory compute flow of :class:`Idealizer` (no card output);
-    what the benchmarks and the lint analyzer execute.
+    what the benchmarks execute.
     """
     return Pipeline(
         "idlz",
@@ -296,18 +301,36 @@ def idlz_problem_pipeline() -> Pipeline:
     )
 
 
-def analysis_pipeline(name: str = "idlz") -> Pipeline:
-    """number -> elements only: the lint analyzer's mutation-free slice.
+class LatticeCounts(NamedTuple):
+    """What a run's number and elements stages would produce."""
 
-    ``name`` prefixes the stage spans; the lint analyzer passes
-    ``"lint"`` so its probe runs show up as ``lint.number`` /
-    ``lint.elements`` rather than masquerading as program executions.
+    n_nodes: int
+    n_elements: int
+    #: Worst node-index spread of any triangle before reform and
+    #: renumbering: the initial numbering's node half-bandwidth.
+    half_bandwidth: int
+    #: (k, l) of every node, in the initial numbering.
+    points: np.ndarray
+
+
+def lattice_counts(subdivisions: Sequence[Subdivision],
+                   name: str) -> LatticeCounts:
+    """Run the number -> elements slice of the program and count what
+    it made: the counts ``repro lint`` and ``repro plan`` report.
+
+    No shaping, reform or output runs; raises what those two stages
+    raise (``IdealizationError``).  ``name`` prefixes the stage spans:
+    the analyzers pass ``"lint"`` or ``"plan"`` so their probe runs show
+    up as ``lint.number`` or ``plan.elements``, not as program runs.
     """
-    return Pipeline(
-        name,
-        [number_stage, elements_stage],
-        inputs=("subdivisions", "limits"),
-    )
+    result = Pipeline(
+        name, [number_stage, elements_stage],
+        inputs=("subdivisions", "strict"),
+    ).run({"subdivisions": list(subdivisions), "strict": False})
+    triangles = result["triangles"]
+    spread = triangles.max(axis=1) - triangles.min(axis=1)
+    return LatticeCounts(result["grid"].n_nodes, len(triangles),
+                         int(spread.max()), result["grid"].points)
 
 
 def run_idealization(title: str,
@@ -315,7 +338,7 @@ def run_idealization(title: str,
                      segments: Sequence[ShapingSegment],
                      renumber: bool = True,
                      reform: bool = True,
-                     limits: IdlzLimits = UNLIMITED,
+                     strict: bool = False,
                      prefer_pairs: Optional[Dict[int, str]] = None,
                      cache: Optional[StageCache] = None,
                      ) -> Tuple["Idealization", PipelineResult]:
@@ -323,7 +346,7 @@ def run_idealization(title: str,
     result = idealization_pipeline().run({
         "subdivisions": list(subdivisions),
         "segments": list(segments),
-        "limits": limits,
+        "strict": strict,
         "prefer_pairs": dict(prefer_pairs or {}),
         "reform": reform,
         "renumber": renumber,

@@ -11,8 +11,8 @@ CALL CONPLT route seeds the mesh and field directly and starts at
     =========  =====================================================
     stage      direct parameters in its fingerprint
     =========  =====================================================
-    intervals  field values, DELTA, lowest level, Table-1 limits,
-               node/element counts (the limits gate)
+    intervals  field values, DELTA, lowest level, the strict flag,
+               node/element counts (the Table-1 gate)
     contour    mesh geometry + topology, the zoom window
     labels     label character size
     plot       titles, field name, label styling (skipped entirely
@@ -30,12 +30,11 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from repro import obs
-from repro.core.ospl.boundary import boundary_segments
+from repro import limits, obs
+from repro.core.ospl.boundary import boundary_pairs
 from repro.core.ospl.contour import ContourSet
 from repro.core.ospl.intervals import choose_interval, contour_levels
 from repro.core.ospl.labels import place_labels
-from repro.core.ospl.limits import OsplLimits
 from repro.errors import ContourError
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
@@ -75,18 +74,18 @@ def deck_stage(ctx: Context) -> Dict[str, Any]:
 
 
 @stage("intervals", requires=("mesh", "field", "interval", "lowest",
-                              "limits"),
+                              "strict"),
        provides=("interval_value", "levels"),
        fingerprint=lambda ctx: stable_digest(
            ctx["field"].values, ctx["interval"], ctx["lowest"],
-           ctx["limits"], ctx["mesh"].n_nodes, ctx["mesh"].n_elements),
+           ctx["strict"], ctx["mesh"].n_nodes, ctx["mesh"].n_elements),
        span_attrs=lambda ctx: {"automatic": ctx["interval"] in (None, 0.0)})
 def intervals_stage(ctx: Context) -> Dict[str, Any]:
     """Choose the contour interval and the level set (Appendix D)."""
     mesh: Mesh = ctx["mesh"]
     field: NodalField = ctx["field"]
-    limits: OsplLimits = ctx["limits"]
-    limits.check(mesh.n_nodes, mesh.n_elements)
+    limits.check(limits.count_excesses("ospl", mesh.n_nodes,
+                                       mesh.n_elements), ctx["strict"])
     if field.n_nodes != mesh.n_nodes:
         raise ContourError(
             f"field has {field.n_nodes} values for a mesh of "
@@ -128,20 +127,26 @@ def contour_stage(ctx: Context) -> Dict[str, Any]:
 
 
 @stage("labels", requires=("contours", "mesh", "window", "label_size"),
-       provides=("labels", "cmap"),
+       provides=("labels", "cmap", "boundary"),
        fingerprint=lambda ctx: stable_digest(ctx["label_size"]),
        span_attrs=lambda ctx: {"size": ctx["label_size"]})
 def labels_stage(ctx: Context) -> Dict[str, Any]:
-    """Place the boundary-intersection labels of the isograms."""
+    """Place the boundary-intersection labels of the isograms.
+
+    Also hands the plot stage the boundary edges it strokes, so one run
+    builds the mesh's edge table once.
+    """
     window = ctx["window"]
     mesh: Mesh = ctx["mesh"]
     world = window if window is not None else mesh.bounding_box()
     if world.width == 0.0 and world.height == 0.0:
         raise ContourError("plot window has zero extent")
     cmap = CoordinateMap(world, margin=90)
-    labels = place_labels(ctx["contours"], cmap, size=ctx["label_size"])
+    boundary = boundary_pairs(mesh)
+    labels = place_labels(ctx["contours"], cmap, size=ctx["label_size"],
+                          boundary=boundary)
     obs.count("ospl.labels_placed", len(labels))
-    return {"labels": labels, "cmap": cmap}
+    return {"labels": labels, "cmap": cmap, "boundary": boundary}
 
 
 def _plot_fingerprint(ctx: Context) -> Any:
@@ -154,8 +159,8 @@ def _plot_fingerprint(ctx: Context) -> Any:
                          ctx["stroke_labels"])
 
 
-@stage("plot", requires=("contours", "labels", "cmap", "mesh", "window",
-                         "field", "title", "subtitle", "plotter",
+@stage("plot", requires=("contours", "labels", "cmap", "boundary", "mesh",
+                         "window", "field", "title", "subtitle", "plotter",
                          "label_size", "stroke_labels"),
        provides=("frame",),
        fingerprint=_plot_fingerprint,
@@ -174,7 +179,8 @@ def plot_stage(ctx: Context) -> Dict[str, Any]:
     frame = plotter.advance(title or field.name)
     # Boundary outline first (clipped to the zoom window when present),
     # then the isograms (clipped when they were extracted).
-    outline = boundary_segments(mesh).reshape(-1, 4).T
+    a, b = ctx["boundary"]
+    outline = np.hstack((mesh.nodes[a], mesh.nodes[b])).T
     if window is not None:
         keep, *ends = clip_segments(*outline, window)
         outline = np.stack(ends)[:, keep]
@@ -202,7 +208,7 @@ def plot_stage(ctx: Context) -> Dict[str, Any]:
 
 #: Seed keys of the CALL CONPLT route (mesh and field in memory).
 CONPLT_INPUTS: Tuple[str, ...] = (
-    "mesh", "field", "interval", "lowest", "window", "limits",
+    "mesh", "field", "interval", "lowest", "window", "strict",
     "title", "subtitle", "plotter", "label_size", "stroke_labels",
 )
 
@@ -214,7 +220,7 @@ def contour_pipeline() -> Pipeline:
     """intervals -> contour: the isograms alone, no labels or plot."""
     return Pipeline("ospl", [intervals_stage, contour_stage],
                     inputs=("mesh", "field", "interval", "lowest", "window",
-                            "limits"))
+                            "strict"))
 
 
 def conplt_pipeline() -> Pipeline:

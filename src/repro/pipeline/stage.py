@@ -63,7 +63,7 @@ def stage(name: str,
 
     ::
 
-        @stage("number", requires=("subdivisions", "limits"),
+        @stage("number", requires=("subdivisions", "strict"),
                provides=("grid",))
         def number_stage(ctx):
             ...

@@ -1,18 +1,15 @@
 """The abstract interpreter: deck text -> :class:`DeckPlan`.
 
-Everything here is derived from the parsed card tray with pure integer
-arithmetic -- no pipeline stage executes:
+Everything here is derived from the parsed card tray; of the program
+only the number -> elements stages run, and nothing is shaped, solved
+or written:
 
-* **node count** -- the size of the union of every buildable
-  subdivision's lattice points (type-2/3/4 cards);
-* **element count** -- per consecutive strip pair the zipper emits one
-  triangle per pointer advance, so the pair contributes exactly
-  ``len(lower) + len(upper) - 2`` elements;
-* **bandwidth bound** -- the zipper's advance rule is replayed over the
-  initial (l, k) node numbers, tracking the worst node-index spread of
-  any emitted triangle.  The renumber stage keeps the better of the
-  initial and RCM numberings, so the realized half-bandwidth never
-  exceeds this bound;
+* **node count, element count, bandwidth bound** -- the program's own
+  number -> elements stages run over the type-4 cards
+  (:func:`repro.pipeline.idlz.lattice_counts`, the slice ``repro lint``
+  counts with): the lattice's nodes, its triangles, and the worst
+  node-index spread of any triangle under the initial (l, k)
+  numbering, before reform and renumbering;
 * **shaping growth** -- the type-6 real-coordinate bounding box versus
   the lattice extent, a bound on how far shaping stretches the frame;
 * **wall/memory** -- the per-stage rate model of
@@ -27,6 +24,8 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.cards.parse import (
     PARSERS,
@@ -96,33 +95,6 @@ class _Unplannable(Exception):
 # Geometry: counts and the bandwidth bound
 # ----------------------------------------------------------------------
 
-def _zipper_spread(lower: List[int], upper: List[int],
-                   lower_pos: List[float], upper_pos: List[float]) -> int:
-    """Worst node-index spread of any triangle the zipper would emit.
-
-    Replays :func:`repro.core.idlz.elements.triangulate_strip`'s advance
-    rule over node numbers only -- same balanced march, no triangle
-    objects.
-    """
-    spread = 0
-    i = j = 0
-    while i < len(lower) - 1 or j < len(upper) - 1:
-        can_lower = i < len(lower) - 1
-        can_upper = j < len(upper) - 1
-        if can_lower and can_upper:
-            advance_lower = lower_pos[i + 1] <= upper_pos[j + 1]
-        else:
-            advance_lower = can_lower
-        if advance_lower:
-            tri = (lower[i], lower[i + 1], upper[j])
-            i += 1
-        else:
-            tri = (lower[i], upper[j + 1], upper[j])
-            j += 1
-        spread = max(spread, max(tri) - min(tri))
-    return spread
-
-
 def plan_problem(problem: RawIdlzProblem) -> ProblemPlan:
     """The static estimate for one IDLZ problem.
 
@@ -136,54 +108,26 @@ def plan_problem(problem: RawIdlzProblem) -> ProblemPlan:
         try:
             built[raw.index] = raw.build()
         except IdealizationError as exc:
-            raise _Unplannable(
-                f"problem {problem.number}: subdivision {raw.index}: {exc}"
-            ) from exc
+            raise _Unplannable(f"problem {problem.number}: {exc}") from exc
     if not built:
         raise _Unplannable(
             f"problem {problem.number}: no type-4 subdivision cards"
         )
-    points = set()
-    for sub in built.values():
-        points.update(sub.lattice_points())
-    # The initial numbering: bottom-to-top, left-to-right (grid.py).
-    number = {pt: i
-              for i, pt in enumerate(sorted(points,
-                                            key=lambda p: (p[1], p[0])))}
-    n_elements = 0
-    bandwidth = 0
-    for sub in built.values():
-        strips = sub.strips()
-        if len(strips) < 2:
-            raise _Unplannable(
-                f"problem {problem.number}: subdivision {sub.index} "
-                "has fewer than two strips"
-            )
-        axis = 1 if sub.is_column_oriented else 0
-        for lower, upper in zip(strips[:-1], strips[1:]):
-            if len(lower) == 1 and len(upper) == 1:
-                raise _Unplannable(
-                    f"problem {problem.number}: subdivision {sub.index} "
-                    "pairs two single-node strips"
-                )
-            n_elements += len(lower) + len(upper) - 2
-            bandwidth = max(bandwidth, _zipper_spread(
-                [number[pt] for pt in lower],
-                [number[pt] for pt in upper],
-                [float(pt[axis]) for pt in lower],
-                [float(pt[axis]) for pt in upper],
-            ))
+    from repro.pipeline.idlz import lattice_counts
+
+    counts = lattice_counts(list(built.values()), "plan")
     return ProblemPlan(
         index=problem.number,
         title=problem.title_card.text.strip() if problem.title_card else "",
-        n_nodes=len(points),
-        n_elements=n_elements,
-        node_half_bandwidth=bandwidth,
-        growth=_growth(problem, points),
+        n_nodes=counts.n_nodes,
+        n_elements=counts.n_elements,
+        node_half_bandwidth=counts.half_bandwidth,
+        growth=_growth(problem, counts.points),
     )
 
 
-def _growth(problem: RawIdlzProblem, points: set) -> Optional[Dict[str, object]]:
+def _growth(problem: RawIdlzProblem,
+            points: np.ndarray) -> Optional[Dict[str, object]]:
     """Shaping growth bound: type-6 bbox versus the lattice extent."""
     xs: List[float] = []
     ys: List[float] = []
@@ -196,9 +140,7 @@ def _growth(problem: RawIdlzProblem, points: set) -> Optional[Dict[str, object]]
                 ys.append(float(value))
     if not xs or not ys:
         return None
-    ks = [pt[0] for pt in points]
-    ls = [pt[1] for pt in points]
-    lattice = (float(max(ks) - min(ks)), float(max(ls) - min(ls)))
+    lattice = tuple(float(v) for v in np.ptp(points, axis=0))
     real = (max(xs) - min(xs), max(ys) - min(ys))
     factors = [real[i] / lattice[i] for i in range(2) if lattice[i] > 0]
     return {

@@ -301,6 +301,8 @@ def mutations(deck: Deck) -> Dict[str, st.SearchStrategy]:
                           st.sampled_from([-2, -1, 1, 2])).map(
             lambda t: _edit(deck, t[0], _bump(deck, *t))),
     }
+    if deck.program in ("idlz", "analyze"):
+        kinds.update(geometry_mutations(deck))
     if deck.program == "ospl":
         nn = int(cards[0][:5])
         kinds["node"] = st.tuples(
@@ -324,6 +326,65 @@ def mutations(deck: Deck) -> Dict[str, st.SearchStrategy]:
                 lambda modes: _before_end(deck, f"{'MODES':<8}{modes:8d}")),
         })
     return kinds
+
+
+#: Type-4 card columns (5I5, 5X, 2I5) of KK1, LL1, KK2, LL2, NTAPRW and
+#: NTAPCM; type-6 columns (4I5, ...) of K1 and K2.
+_KK1, _LL1, _KK2, _NTAPRW, _NTAPCM = 5, 10, 15, 30, 35
+_K1, _K2 = 0, 10
+
+
+def _field(card: str, column: int) -> int:
+    return int(card[column:column + 5].strip() or 0)
+
+
+def _set(card: str, **fields: int) -> str:
+    columns = {"kk1": _KK1, "ll1": _LL1, "kk2": _KK2, "ntaprw": _NTAPRW,
+               "ntapcm": _NTAPCM, "k1": _K1, "k2": _K2}
+    for name, value in fields.items():
+        card = _replace(card, columns[name], f"{value:5d}")
+    return card
+
+
+def shifted(deck: Deck, dk: int) -> List[str]:
+    """The whole assemblage moved ``dk`` lattice columns right: every
+    type-4 and type-6 card, so the deck stays valid."""
+    out = []
+    for card, role in zip(deck.cards, deck.roles):
+        if role == "subdivision":
+            card = _set(card, kk1=_field(card, _KK1) + dk,
+                        kk2=_field(card, _KK2) + dk)
+        elif role == "segment":
+            card = _set(card, k1=_field(card, _K1) + dk,
+                        k2=_field(card, _K2) + dk)
+        out.append(card)
+    return out
+
+
+def geometry_mutations(deck: Deck) -> Dict[str, st.SearchStrategy]:
+    """Kind -> strategy of IDLZ geometry faults: one type-4 card edited
+    into a collapsed box (IDZ101), both taper flags (IDZ102), an
+    over-taper (IDZ103) or a corner below the origin (IDZ106); or the
+    whole assemblage moved past the Table-2 grid (LIM002, a valid
+    deck)."""
+    cards = deck.cards
+
+    def edit(**fields: object) -> st.SearchStrategy:
+        def one(i: int) -> List[str]:
+            values = {name: (value(cards[i]) if callable(value) else value)
+                      for name, value in fields.items()}
+            return _edit(deck, i, _set(cards[i], **values))
+        return _at(deck, ("subdivision",)).map(one)
+
+    return {
+        "collapse": edit(kk2=lambda card: _field(card, _KK1)),
+        "both_tapers": edit(
+            ntaprw=lambda card: _field(card, _NTAPRW) or 1,
+            ntapcm=lambda card: _field(card, _NTAPCM) or 1),
+        "over_taper": edit(ntaprw=9, ntapcm=0),
+        "below_origin": st.one_of(edit(kk1=0), edit(ll1=0)),
+        "past_table2": st.just(shifted(deck, 40)),
+    }
 
 
 def any_mutation(deck: Deck) -> st.SearchStrategy:

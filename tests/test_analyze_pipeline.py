@@ -21,8 +21,6 @@ from repro.cards.reader import CardReader
 from repro.core.idlz.deck import IdlzProblem
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.core.idlz.limits import UNLIMITED as IDLZ_UNLIMITED
-from repro.core.ospl.limits import UNLIMITED as OSPL_UNLIMITED
 from repro.errors import AnalyzeError, SolverError
 from repro.pipeline import StageCache
 
@@ -117,13 +115,12 @@ class TestStatic:
         result = analyze_problem_pipeline().run({
             "subdivisions": deck.problem.subdivisions,
             "segments": deck.problem.segments,
-            "limits": IDLZ_UNLIMITED,
+            "strict": False,
             "prefer_pairs": {},
             "reform": True,
             "renumber": True,
             "spec": deck.spec,
             "title": deck.title,
-            "ospl_limits": OSPL_UNLIMITED,
         })
         mesh = result["mesh"]
         force = result["load_case"].vector(mesh.n_nodes)

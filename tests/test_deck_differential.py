@@ -9,10 +9,15 @@ seeded valid decks and single-card mutations of them
   the message names the card (and code) of the earliest one;
 * every parse error is a lint error on the same card;
 * a deck that lints without errors reads, and a valid deck lints clean
-  and runs through its program end to end.
+  and runs through its program end to end;
+* on IDLZ geometry faults and Table-2 excesses (plain and ``strict``) a
+  run refuses iff lint has an error, naming a card lint has an error
+  on, with lint's code and message;
+* the plan's counts are the run's.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +32,9 @@ from repro.core.idlz.program import run_idlz
 from repro.core.ospl.deck import read_ospl_deck
 from repro.core.ospl.program import run_ospl
 from repro.errors import CardError, ReproError
+from repro.fem.bandwidth import mesh_bandwidth
 from repro.lint import lint_text
+from repro.plan import plan_text
 
 from tests.deckgen import (
     analyze_decks,
@@ -35,6 +42,7 @@ from tests.deckgen import (
     idlz_decks,
     mutations,
     ospl_decks,
+    shifted,
     text_of,
 )
 
@@ -113,3 +121,54 @@ def test_breaking_mutations_are_refused_on_the_linted_card(program, kind,
     lint = lint_text(text, "deck", program=program)
     named = str(refused.value).split(" (")[0]
     assert any(named == f"card {d.location.card}" for d in lint.errors)
+
+
+#: The IDLZ geometry mutations (``tests/deckgen.geometry_mutations``).
+GEOMETRY = ("collapse", "both_tapers", "over_taper", "below_origin",
+            "past_table2")
+
+_REFUSAL = re.compile(r"card (\d+) \((\w+)\): (.*)")
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+@pytest.mark.parametrize("kind", GEOMETRY)
+@pytest.mark.parametrize("program", ["idlz", "analyze"])
+@seeded(4)
+@given(data=st.data())
+def test_geometry_refusals_name_the_linted_card(program, kind, strict,
+                                                data):
+    """A run refuses a deck iff lint has an error on it, plain and
+    under ``strict``; the refusal names a card lint has an error on,
+    with lint's code and lint's message."""
+    deck = data.draw(DECKS[program]())
+    text = text_of(data.draw(mutations(deck)[kind]))
+    lint = lint_text(text, "deck", program=program, strict=strict)
+    errors = {(d.location.card, d.code): d.message for d in lint.errors}
+    try:
+        RUNNERS[program](CardReader.from_text(text), strict=strict)
+    except ReproError as exc:
+        refusal = _REFUSAL.fullmatch(str(exc))
+        assert refusal, f"the refusal names no card: {exc}"
+        card, code, message = refusal.groups()
+        assert errors.get((int(card), code)) == message, (str(exc), errors)
+    else:
+        assert not errors, [str(d) for d in lint.errors]
+
+
+@pytest.mark.parametrize("program", ["idlz", "analyze"])
+@seeded(8)
+@given(data=st.data())
+def test_plan_counts_are_the_run_counts(program, data):
+    """On valid decks (and the same decks moved past the Table-2 grid)
+    the plan's node and element counts and bandwidth bound are the
+    run's."""
+    deck = data.draw(DECKS[program]())
+    for text in (deck.text(), text_of(shifted(deck, 40))):
+        (planned,) = plan_text(text, program=program).problems
+        read = READERS[program](CardReader.from_text(text))
+        problem = read[0] if program == "idlz" else read.problem
+        ideal = problem.run()
+        assert (planned.n_nodes, planned.n_elements,
+                planned.node_half_bandwidth) == (
+            ideal.n_nodes, ideal.n_elements,
+            mesh_bandwidth(ideal.lattice_mesh))

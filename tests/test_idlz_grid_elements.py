@@ -90,6 +90,11 @@ class TestTriangulateStrip:
         with pytest.raises(IdealizationError):
             triangulate_strip([0], [0.0], [1], [0.0])
 
+    def test_unsorted_positions_rejected(self):
+        with pytest.raises(IdealizationError, match="must not decrease"):
+            triangulate_strip([0, 1, 2], [0.0, 2.0, 1.0],
+                              [3, 4], [0.0, 1.0])
+
 
 class TestSubdivisionElements:
     def test_rectangle_element_count(self):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.idlz.limits import STRICT_1970
 from repro.core.idlz.pipeline import Idealizer
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
@@ -109,7 +108,7 @@ class TestLimits:
             ShapingSegment(1, 1, 1, 5, 1, 0, 0, 2, 0),
             ShapingSegment(1, 1, 9, 5, 9, 0, 3, 2, 3),
         ]
-        Idealizer("OK", [sub], limits=STRICT_1970).run(segs)
+        Idealizer("OK", [sub], strict=True).run(segs)
 
     def test_node_limit_enforced(self):
         # A 21 x 31 lattice = 651 nodes > 500.
@@ -119,18 +118,18 @@ class TestLimits:
             ShapingSegment(1, 1, 31, 21, 31, 0, 3, 2, 3),
         ]
         with pytest.raises(LimitError) as err:
-            Idealizer("BIG", [sub], limits=STRICT_1970).run(segs)
+            Idealizer("BIG", [sub], strict=True).run(segs)
         assert err.value.maximum in (500, 850)
 
     def test_grid_extent_enforced(self):
         sub = Subdivision(index=1, kk1=1, ll1=1, kk2=41, ll2=5)
         with pytest.raises(LimitError, match="horizontal"):
-            Idealizer("WIDE", [sub], limits=STRICT_1970).run([])
+            Idealizer("WIDE", [sub], strict=True).run([])
 
     def test_vertical_extent_enforced(self):
         sub = Subdivision(index=1, kk1=1, ll1=1, kk2=5, ll2=61)
         with pytest.raises(LimitError, match="vertical"):
-            Idealizer("TALL", [sub], limits=STRICT_1970).run([])
+            Idealizer("TALL", [sub], strict=True).run([])
 
     def test_subdivision_count_enforced(self):
         subs = [
@@ -138,7 +137,7 @@ class TestLimits:
             for i in range(1, 52)
         ]
         with pytest.raises(LimitError, match="subdivisions"):
-            Idealizer("MANY", subs, limits=STRICT_1970).run([])
+            Idealizer("MANY", subs, strict=True).run([])
 
 
 class TestArcsInPipeline:

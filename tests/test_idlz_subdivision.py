@@ -18,7 +18,7 @@ class TestValidation:
 
     def test_overshrunk_trapezoid_rejected(self):
         # 5 columns, 4 rows, losing 2 per row needs 5 - 6 < 1 nodes.
-        with pytest.raises(IdealizationError, match="short side"):
+        with pytest.raises(IdealizationError, match="short parallel side"):
             Subdivision(index=1, kk1=1, ll1=1, kk2=5, ll2=4, ntaprw=1)
 
     def test_overshrunk_column_trapezoid_rejected(self):

@@ -12,8 +12,8 @@ from repro.core.ospl.deck import (
     read_ospl_deck,
     write_ospl_deck,
 )
-from repro.core.ospl.limits import STRICT_1970, OsplLimits
 from repro.core.ospl.plot import conplt
+from repro.core.ospl.program import run_ospl
 from repro.errors import CardError, ContourError, LimitError
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
@@ -71,16 +71,16 @@ class TestConplt:
     def test_strict_limits_enforced(self):
         mesh, field = grid_mesh_and_field(n=30)  # 961 nodes > 800
         with pytest.raises(LimitError, match="nodes"):
-            conplt(mesh, field, limits=STRICT_1970)
+            conplt(mesh, field, strict=True)
 
     def test_element_limit_enforced(self):
         mesh, field = grid_mesh_and_field(n=25)  # 676 nodes, 1250 elements
         with pytest.raises(LimitError, match="elements"):
-            conplt(mesh, field, limits=STRICT_1970)
+            conplt(mesh, field, strict=True)
 
     def test_within_limits_ok(self):
         mesh, field = grid_mesh_and_field(n=5)
-        conplt(mesh, field, limits=STRICT_1970)
+        conplt(mesh, field, strict=True)
 
     def test_zoom_window(self):
         mesh, field = grid_mesh_and_field()
@@ -236,3 +236,32 @@ class TestWindowedDeck:
             clipped.contours.segments_at(level).edges
             for level in clipped.contours.nonempty_levels()])
         assert ((edges[:, :, 0] == -1) == on_window).all()
+
+
+class TestEdgeTableBuilds:
+    """The labels and plot stages share one edge table per run."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        edge_table = Mesh.edge_table
+
+        def counted(mesh):
+            calls.append(mesh)
+            return edge_table(mesh)
+
+        monkeypatch.setattr(Mesh, "edge_table", counted)
+        return calls
+
+    def test_one_build_per_run_ospl(self, builds):
+        mesh, field = grid_mesh_and_field()
+        text = write_ospl_deck(problem_from_analysis(mesh, field)).to_text()
+        builds.clear()  # the writer derived the flags it punched
+        run_ospl(CardReader.from_text(text))
+        assert len(builds) == 1
+
+    def test_one_build_per_conplt(self, builds):
+        mesh, field = grid_mesh_and_field()
+        assert mesh.boundary_flags is None  # derived from the same table
+        conplt(mesh, field)
+        assert len(builds) == 1

@@ -18,7 +18,6 @@ import pytest
 
 from repro.batch import BatchOptions, discover_jobs, run_batch
 from repro.core.ospl.contour import ContourSet
-from repro.core.ospl.limits import UNLIMITED
 from repro.core.idlz.deck import IdlzProblem, write_idlz_deck
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
@@ -157,7 +156,7 @@ class TestCorruption:
                     elements=np.array([[0, 1, 2], [0, 2, 3]]))
         field = NodalField("S", np.array([0.0, 10.0, 20.0, 10.0]))
         seeds = {"mesh": mesh, "field": field, "interval": 5.0,
-                 "lowest": None, "window": None, "limits": UNLIMITED,
+                 "lowest": None, "window": None, "strict": False,
                  "title": "V1", "subtitle": "", "plotter": None,
                  "label_size": 9, "stroke_labels": False}
         cache = StageCache(tmp_path / "stages")

@@ -1,8 +1,14 @@
 """Unit tests for the static deck cost estimator (``repro.plan``)."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.analyze.deck import read_analyze_deck
+from repro.cards.reader import CardReader
+from repro.core.idlz.deck import read_idlz_deck
 from repro.errors import ReproError
+from repro.fem.bandwidth import mesh_bandwidth
 from repro.plan import (
     SCHEMA,
     format_bytes,
@@ -60,6 +66,32 @@ class TestIdlzEstimate:
         large = plan_text(idlz_deck_text(cols=12))
         assert large.wall_s > small.wall_s
         assert large.peak_bytes > small.peak_bytes
+
+
+#: The IDLZ problems of every example and library deck.
+IDLZ_EXAMPLES = sorted(
+    str(path) for path in Path("examples/decks").rglob("*.deck")
+    if path.name != "field.deck")
+
+
+@pytest.mark.parametrize("deck", IDLZ_EXAMPLES)
+def test_example_counts_are_the_run_counts(deck):
+    """The plan counts with the run's own number -> elements stages, so
+    its counts and bandwidth bound are the run's, problem by problem."""
+    text = Path(deck).read_text()
+    reader = CardReader.from_text(text)
+    if deck.endswith(".analyze.deck"):
+        problems = [read_analyze_deck(reader).problem]
+    else:
+        problems = read_idlz_deck(reader)
+    plan = plan_text(text)
+    assert len(plan.problems) == len(problems)
+    for planned, problem in zip(plan.problems, problems):
+        ideal = problem.run()
+        assert (planned.n_nodes, planned.n_elements,
+                planned.node_half_bandwidth) == (
+            ideal.n_nodes, ideal.n_elements,
+            mesh_bandwidth(ideal.lattice_mesh))
 
 
 class TestOsplEstimate:
