@@ -490,7 +490,9 @@ def _run_round(queue: Sequence[JobSpec], options: BatchOptions
         return [(spec, run_job(spec.to_dict())) for spec in queue]
     if any(spec.program == "analyze" for spec in queue):
         # Forked workers inherit the coordinator's modules: import the
-        # FEM stack (scipy) once here instead of once per worker.
+        # analyze program and the FEM stack once here instead of once
+        # per worker.  scipy is not part of it: a MODAL, THERMAL or
+        # SOLVER SPARSE job imports it in the worker that runs it.
         import repro.analyze.program  # noqa: F401
     results: List[Tuple[JobSpec, Dict[str, Any]]] = []
     workers = min(options.jobs, len(queue))

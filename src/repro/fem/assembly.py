@@ -17,10 +17,9 @@ triplets:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
 from repro.errors import MaterialError, MeshError
@@ -35,6 +34,9 @@ from repro.fem.elements.heat import (
     heat_conductivity_matrix_axisym,
 )
 from repro.fem.mesh import Mesh
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -106,6 +108,10 @@ def stiffness_triplets(mesh: Mesh, materials: Mapping[int, Any],
 
 
 def _csr(n: int, triplets: Triplets) -> sp.csr_matrix:
+    # scipy loads only for the storages that need it (sparse, thermal,
+    # modal), never on the banded path.
+    import scipy.sparse as sp
+
     rows, cols, vals = triplets
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 

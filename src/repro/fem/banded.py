@@ -8,20 +8,26 @@ quartered the solve cost.  This module reproduces that solver so the
 renumbering benchmark (claim C2 in DESIGN.md) measures the same quantity
 the paper cared about.
 
-Storage: ``band[d, j] = A[j + d, j]`` for ``0 <= d <= hb`` -- LAPACK's
-lower band storage, so the factor and substitution are LAPACK's band
-Cholesky (``dpbtrf`` / ``dpbtrs``) on the very array assembly fills.
-Entries outside the matrix are kept at zero.
+Storage: ``band[d, j] = A[j + d, j]`` for ``0 <= d <= hb`` (LAPACK's
+lower band layout).  Entries outside the matrix are kept at zero.  The
+factor is a right-looking blocked band Cholesky in numpy: it eliminates
+``BLOCK`` columns per step with numpy's dense kernels, so its step count
+is ``n / BLOCK`` whatever the bandwidth, and it needs no scipy.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Tuple
+
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from repro import obs
 from repro.errors import SolverError
 from repro.obs.health import solver_health
+
+#: Columns the factor eliminates per step.
+BLOCK = 32
 
 
 class BandedSymmetricMatrix:
@@ -146,52 +152,133 @@ class BandedSymmetricMatrix:
     # Factorisation and solution
     # ------------------------------------------------------------------
     def cholesky(self) -> "BandedCholeskyFactor":
-        """Band Cholesky A = L L^T by LAPACK ``dpbtrf``; O(n * hb^2).
+        """Band Cholesky A = L L^T, ``BLOCK`` columns a step; O(n * hb^2).
 
-        ``band`` is already LAPACK's lower band storage, so the factor
-        works on it as stored (on a copy; the matrix is left intact).
-        Raises :class:`SolverError` on a non-positive pivot, which for a
-        stiffness matrix means the structure is insufficiently restrained
-        (a rigid-body mode) or the mesh is defective.
+        Each step gathers the lower window of its ``m = BLOCK`` columns
+        and the ``hb`` rows below them, factors the diagonal block
+        ``A11 = L11 L11^T`` with ``np.linalg.cholesky``, forms the panel
+        ``L21 = A21 L11^-T`` and carries the trailing block
+        ``A22 - L21 L21^T`` into the next step's window.  The order is
+        padded to whole blocks with identity equations; the matrix is
+        left intact.  Raises :class:`SolverError` on a pivot at or below
+        ``n * eps`` times its equation's own diagonal, which for a
+        stiffness matrix means the structure is insufficiently
+        restrained (a rigid-body mode) or the mesh is defective.
         """
-        n, hb = self.n, self.hb
-        lband, info = dpbtrf(self.band, lower=1)
-        if info > 0:
-            # dpbtrf leaves the failed pivot on the diagonal it stopped at.
-            raise SolverError(
-                f"non-positive pivot {lband[0, info - 1]:g} at equation "
-                f"{info - 1}; the system is singular or indefinite (is the "
-                "structure restrained against rigid-body motion?)"
-            )
+        n, hb, m = self.n, self.hb, BLOCK
+        steps = -(-n // m)
+        size = steps * m + hb
+        padded = np.zeros((hb + 1, size))
+        padded[:, :n] = self.band
+        padded[0, n:] = 1.0
+        flat = padded.ravel()
+        tol = n * np.finfo(float).eps * padded[0]
+        # Flat band offsets of the window's lower-band entries, and
+        # their positions in the dense (m + hb)^2 window.
+        w = m + hb
+        rows, cols = np.tril_indices(w)
+        keep = rows - cols <= hb
+        rows, cols = rows[keep], cols[keep]
+        src = (rows - cols) * size + cols
+        dst = rows * w + cols
+        inverses = np.empty((steps, m, m))
+        panels = np.empty((steps, hb, m))
+        pivots = np.empty(steps * m)
+        trailing = np.empty((hb, hb))
+        for step in range(steps):
+            k0 = step * m
+            window = np.zeros(w * w)
+            window[dst] = flat[src + k0]
+            window = window.reshape(w, w)
+            if step:
+                window[:hb, :hb] = trailing
+            a11 = window[:m, :m]
+            try:
+                l11 = np.linalg.cholesky(a11)
+                pivots[k0:k0 + m] = l11.diagonal() ** 2
+                ok = bool((pivots[k0:k0 + m] > tol[k0:k0 + m]).all())
+            except np.linalg.LinAlgError:
+                ok = False
+            if not ok:
+                i, pivot = _first_bad_pivot(a11, tol[k0:k0 + m])
+                raise SolverError(
+                    f"pivot {pivot:g} at equation {k0 + i} is not "
+                    "positive beyond rounding; the system is singular or "
+                    "indefinite (is the structure restrained against "
+                    "rigid-body motion?)"
+                )
+            inverses[step] = inv11 = np.linalg.inv(l11)
+            panels[step] = l21 = window[m:, :m] @ inv11.T
+            trailing = window[m:, m:] - l21 @ l21.T
         if obs.health_enabled():
-            # lband[0] holds sqrt(pivot); square back for the D entries.
-            pivots = lband[0] * lband[0]
             obs.health("fem.cholesky.banded", solver_health(
-                pivot_min=float(pivots.min()),
-                pivot_max=float(pivots.max()),
+                pivot_min=float(pivots[:n].min()),
+                pivot_max=float(pivots[:n].max()),
                 fillin=n * (hb + 1),
                 n=n,
                 half_bandwidth=hb,
             ))
-        return BandedCholeskyFactor(n, hb, lband)
+        return BandedCholeskyFactor(n, hb, inverses, panels)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Factor and solve in one call."""
         return self.cholesky().solve(rhs)
 
 
-class BandedCholeskyFactor:
-    """The lower-triangular band factor L with A = L L^T."""
+def _first_bad_pivot(a11: np.ndarray, tol: np.ndarray
+                     ) -> Tuple[int, float]:
+    """(row, pivot) of the first pivot of ``a11`` at or below ``tol``.
 
-    def __init__(self, n: int, hb: int, lband: np.ndarray) -> None:
+    A scalar column sweep over one block, run only when the block's
+    factor failed, to name the equation that failed.  ``a11``'s upper
+    triangle is ignored.
+    """
+    m = a11.shape[0]
+    low = np.tril(a11)
+    lower = np.zeros((m, m))
+    pivots = np.empty(m)
+    for i in range(m):
+        pivots[i] = pivot = low[i, i] - lower[i, :i] @ lower[i, :i]
+        if not pivot > tol[i]:
+            return i, float(pivot)
+        lower[i, i] = math.sqrt(pivot)
+        lower[i + 1:, i] = (low[i + 1:, i]
+                            - lower[i + 1:, :i] @ lower[i, :i]) / lower[i, i]
+    # Rounding kept every swept pivot above its bound: name the nearest.
+    i = int(np.argmin(pivots / tol))
+    return i, float(pivots[i])
+
+
+class BandedCholeskyFactor:
+    """The band factor L with A = L L^T, kept as its column blocks.
+
+    Block ``s`` covers equations ``s * BLOCK`` onward: ``inverses[s]``
+    is its diagonal block's inverse ``L11^-1`` and ``panels[s]`` the
+    ``hb x BLOCK`` panel ``L21`` below it.
+    """
+
+    def __init__(self, n: int, hb: int, inverses: np.ndarray,
+                 panels: np.ndarray) -> None:
         self.n = n
         self.hb = hb
-        self.lband = lband
+        self.inverses = inverses
+        self.panels = panels
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs by band substitution (LAPACK ``dpbtrs``)."""
+        """Solve A x = rhs: forward through the blocks, then back."""
         b = np.asarray(rhs, dtype=float)
         if b.shape[0] != self.n:
             raise SolverError(f"rhs length {b.shape[0]} != order {self.n}")
-        x: np.ndarray = dpbtrs(self.lband, b, lower=1)[0]
-        return x
+        steps, m, _ = self.inverses.shape
+        hb = self.hb
+        x = np.zeros((steps * m + hb,) + b.shape[1:])
+        x[:self.n] = b
+        for step in range(steps):
+            k0, k1 = step * m, step * m + m
+            x[k0:k1] = self.inverses[step] @ x[k0:k1]
+            x[k1:k1 + hb] -= self.panels[step] @ x[k0:k1]
+        for step in range(steps - 1, -1, -1):
+            k0, k1 = step * m, step * m + m
+            x[k0:k1] = self.inverses[step].T @ (
+                x[k0:k1] - self.panels[step].T @ x[k1:k1 + hb])
+        return x[:self.n]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import MeshError, SolverError
 from repro.fem.assembly import (
@@ -123,6 +122,8 @@ def modal_analysis(mesh: Mesh, materials: Mapping[int, Any],
     Small dense symmetric eigensolve -- appropriate for 1970-scale
     meshes (Table 2 caps the model at 1000 dofs).
     """
+    import scipy.linalg
+
     if len(constraints) == 0:
         raise SolverError(
             "modal analysis needs constraints (free-free modes are all "

@@ -20,11 +20,9 @@ and the analyze pipeline's assemble / solve stages both call them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Any, Mapping, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro import obs
 from repro.errors import SolverError
@@ -41,9 +39,11 @@ from repro.fem.skyline import SkylineMatrix, assemble_skyline
 from repro.fem.stress import StressField, recover_stresses
 from repro.obs.health import solver_health
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Global stiffness in one of the three solver storages.
-StaticMatrix = Union[BandedSymmetricMatrix, SkylineMatrix, sp.csr_matrix]
+StaticMatrix = Union[BandedSymmetricMatrix, SkylineMatrix, "sp.csr_matrix"]
 
 
 @dataclass
@@ -124,7 +124,7 @@ def solve_static(matrix: StaticMatrix, rhs: np.ndarray,
             "the model has no displacement constraints; the stiffness "
             "matrix is singular (rigid-body motion)"
         )
-    if isinstance(matrix, sp.csr_matrix):
+    if not isinstance(matrix, (BandedSymmetricMatrix, SkylineMatrix)):
         with obs.span("fem.solve.sparse", ndof=matrix.shape[0]):
             return _solve_sparse(matrix, rhs, constraints, n_nodes)
     solver = ("banded" if isinstance(matrix, BandedSymmetricMatrix)
@@ -146,6 +146,8 @@ def solve_static(matrix: StaticMatrix, rhs: np.ndarray,
 def _solve_sparse(k: sp.csr_matrix, rhs: np.ndarray,
                   constraints: Constraints, n_nodes: int) -> np.ndarray:
     """Eliminate constrained dofs and solve the reduced sparse system."""
+    import scipy.sparse.linalg as spla
+
     ndof = k.shape[0]
     fixed = constraints.global_dofs(n_nodes)
     fixed_idx = np.array([d for d, _ in fixed], dtype=int)

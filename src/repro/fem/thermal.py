@@ -15,17 +15,20 @@ boundary edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.errors import BoundaryConditionError, SolverError
 from repro.fem.assembly import assemble_thermal
 from repro.fem.elements.heat import edge_flux_vector, edge_flux_vector_axisym
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,8 @@ def _split(fixed: Dict[int, float], n: int):
 
 def _solve_constrained(matrix: sp.csr_matrix, rhs: np.ndarray,
                        fixed: Dict[int, float], n: int) -> np.ndarray:
+    import scipy.sparse.linalg as spla
+
     fixed_idx, fixed_val, free = _split(fixed, n)
     out = np.zeros(n)
     out[fixed_idx] = fixed_val
@@ -211,6 +216,8 @@ def _solve_constrained(matrix: sp.csr_matrix, rhs: np.ndarray,
 def _constrained_factor(matrix: sp.csc_matrix, fixed: Dict[int, float],
                         n: int) -> Callable:
     """Pre-factor the free-free block for repeated transient solves."""
+    import scipy.sparse.linalg as spla
+
     fixed_idx, fixed_val, free = _split(fixed, n)
     if free.size == 0:
         def trivial(rhs, fixed_now):

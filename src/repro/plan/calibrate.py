@@ -85,10 +85,11 @@ REFERENCE_UNITS: Dict[str, Dict[str, float]] = {
 #: absent.  OSPL rates derive from the isogram sub-spans of the
 #: analyze reference run (OSPL has no bench experiment of its own yet).
 #: Restamped after the array-native kernel rewrite (vectorized
-#: numbering, zipper, shaping, reform and contour extraction), and the
-#: analyze assemble / solve rates again after the one-scatter assembly
-#: and the LAPACK band factor -- see docs/PERFORMANCE.md for the
-#: before/after tables.
+#: numbering, zipper, shaping, reform and contour extraction), the
+#: analyze assemble / solve rates again after the one-scatter assembly,
+#: and the solve rate once more for the numpy blocked band factor (the
+#: median ``analyze.solve`` wall of observed analyze-probe runs over
+#: the probe's flops) -- see docs/PERFORMANCE.md and docs/PLAN.md.
 FALLBACK_RATES: Dict[str, float] = {
     "idlz.number": 2.3e-07,
     "idlz.elements": 3.0e-07,
@@ -104,7 +105,7 @@ FALLBACK_RATES: Dict[str, float] = {
     "analyze.assemble": 1.7e-05,
     "analyze.constrain": 1.9e-07,
     "analyze.loads": 4.6e-06,
-    "analyze.solve": 3.7e-10,
+    "analyze.solve": 1.7e-09,
     "analyze.recover": 9.0e-06,
     "analyze.isograms": 1.2e-05,
     "ospl.intervals": 2.6e-07,

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from repro.errors import SolverError
-from repro.fem.banded import BandedSymmetricMatrix
+from repro.fem.banded import BLOCK, BandedSymmetricMatrix
 
 
 def spd_matrix(n: int, hb: int, seed: int = 0) -> np.ndarray:
@@ -106,6 +107,86 @@ class TestCholesky:
         factor = m.cholesky()
         with pytest.raises(SolverError, match="length"):
             factor.solve(np.ones(5))
+
+
+def random_band(n: int, hb: int, seed: int) -> BandedSymmetricMatrix:
+    """A random SPD band matrix (diagonally dominant) in band storage."""
+    return BandedSymmetricMatrix.from_dense(spd_matrix(n, hb, seed))
+
+
+def lapack_solve(m: BandedSymmetricMatrix, rhs: np.ndarray) -> np.ndarray:
+    """Reference: LAPACK's band Cholesky on the same storage."""
+    lband, info = dpbtrf(m.band, lower=1)
+    assert info == 0
+    return dpbtrs(lband, rhs, lower=1)[0]
+
+
+#: (n, hb): one to about 200 equations; hb of 0, at least n - 1, and
+#: wider than a block; orders on and off a multiple of the block width.
+FACTOR_CASES = [
+    (1, 0), (1, 3), (2, 1), (5, 0), (7, 6), (31, 2), (BLOCK, 5),
+    (BLOCK + 1, 0), (BLOCK + 1, BLOCK), (50, 49), (64, 64), (65, 7),
+    (97, BLOCK + 13), (130, 70), (200, 3), (200, 45), (201, 200),
+]
+
+
+class TestBlockedFactor:
+    """The numpy blocked factor against LAPACK and dense numpy."""
+
+    @pytest.mark.parametrize("n,hb", FACTOR_CASES)
+    def test_matches_lapack_and_dense(self, n, hb):
+        m = random_band(n, hb, seed=7 * n + hb)
+        rhs = np.random.default_rng(n).normal(size=(n, 3))
+        x = m.cholesky().solve(rhs)
+        reference = lapack_solve(m, rhs)
+        assert np.allclose(x, reference, rtol=1e-12, atol=0.0)
+        assert np.allclose(x, np.linalg.solve(m.to_dense(), rhs),
+                           rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n,hb", FACTOR_CASES)
+    def test_matvec_of_solve_returns_rhs(self, n, hb):
+        m = random_band(n, hb, seed=n + 3 * hb)
+        b = np.random.default_rng(hb).normal(size=n)
+        assert np.abs(m.matvec(m.solve(b)) - b).max() <= 1e-12
+
+    def test_factor_exposes_order_and_bandwidth(self):
+        factor = random_band(70, 9, seed=1).cholesky()
+        assert (factor.n, factor.hb) == (70, 9)
+
+    def test_matrix_left_intact(self):
+        m = random_band(40, 6, seed=2)
+        band = m.band.copy()
+        m.cholesky()
+        assert np.array_equal(m.band, band)
+
+    @pytest.mark.parametrize("n,hb", [(10, 3), (80, 5), (80, 40), (150, 60)])
+    @pytest.mark.parametrize("where", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["indefinite", "zero-row"])
+    def test_failed_equation_matches_lapack(self, n, hb, where, kind):
+        m = random_band(n, hb, seed=n * hb)
+        k = min(int(where * n), n - 1)
+        if kind == "indefinite":
+            m.band[0, k] = -m.band[0, k]
+        else:
+            m.band[:, k] = 0.0
+            for d in range(1, m.hb + 1):
+                if k - d >= 0:
+                    m.band[d, k - d] = 0.0
+        _, info = dpbtrf(m.band, lower=1)
+        assert info > 0
+        with pytest.raises(SolverError,
+                           match=rf"pivot \S+ at equation {info - 1}\b"):
+            m.cholesky()
+
+    def test_tiny_positive_pivot_rejected(self):
+        # The second pivot is exactly 2**-52 > 0, so a plain Cholesky
+        # accepts it; it lies below n * eps of its diagonal, so the
+        # factor refuses the (numerically singular) matrix.
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]])
+        np.linalg.cholesky(a)
+        with pytest.raises(SolverError, match=r"pivot 2.2\d*e-16 at "
+                                              r"equation 1\b"):
+            BandedSymmetricMatrix.from_dense(a).cholesky()
 
 
 class TestConstrainDof:

@@ -1,15 +1,18 @@
 """The import contract: a program imports only the modules it runs.
 
-Package ``__init__``s re-export lazily (:mod:`repro._lazy`), so the
-``idlz``, ``ospl``, ``lint`` and ``plan`` programs never load scipy,
-every module imports cleanly as the first ``repro`` import, and every
-re-exported name still resolves to its defining module's object.  Each
-check that depends on a fresh interpreter runs in a subprocess.
+Package ``__init__``s re-export lazily (:mod:`repro._lazy`) and the FEM
+modules import scipy only inside the MODAL, THERMAL and sparse solves,
+so the ``idlz``, ``ospl``, ``lint`` and ``plan`` programs and a static
+banded ``analyze run`` never load scipy, every module imports cleanly
+as the first ``repro`` import, and every re-exported name still resolves
+to its defining module's object.  Each check that depends on a fresh
+interpreter runs in a subprocess.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -140,10 +143,29 @@ def test_deck_checks_skip_the_batch_engine(argv):
     assert _loaded_by(argv, ["repro.batch"]) == {"code": 0, "loaded": []}
 
 
-def test_analyze_loads_scipy(tmp_path):
-    argvs = [["analyze", "run", str(DECKS / "analyze" / "plate.analyze.deck"),
-              "-o", str(tmp_path / "ana")]]
+def test_static_analyze_never_loads_scipy(tmp_path):
+    """A static banded ``analyze run`` factors in numpy alone."""
+    decks = sorted((DECKS / "analyze").glob("*.deck"))
+    argvs = [["analyze", "run", str(deck), "-o", str(tmp_path / deck.stem)]
+             for deck in decks]
     result = _run_python(_CLI_RUN.format(argvs=argvs))
+    assert len(decks) == 2
+    assert result == {"codes": [0, 0], "scipy": False}
+
+
+def test_analyze_loads_scipy(tmp_path):
+    """``SOLVER SPARSE`` is a scipy path: the twin deck still loads it."""
+    from repro.analyze.deck import read_analyze_deck, write_analyze_deck
+    from repro.cards.reader import CardReader
+
+    source = DECKS / "analyze" / "plate.analyze.deck"
+    deck = read_analyze_deck(CardReader.from_text(source.read_text()))
+    deck.spec = dataclasses.replace(deck.spec, solver="sparse")
+    twin = tmp_path / "plate_sparse.analyze.deck"
+    twin.write_text(write_analyze_deck(deck).to_text())
+    argvs = [["analyze", "run", str(twin), "-o", str(tmp_path / "ana")]]
+    result = _run_python(_CLI_RUN.format(argvs=argvs))
+    assert "SOLVER  SPARSE" in twin.read_text()
     assert result == {"codes": [0], "scipy": True}
 
 
@@ -214,4 +236,6 @@ def test_analyze_batch_imports_fem_before_forking(tmp_path):
     decks = [str(DECKS / "plate.deck"),
              str(DECKS / "analyze" / "plate.analyze.deck")]
     result = _run_python(_BATCH_RUN.format(decks=decks, out=str(tmp_path)))
-    assert result == {"code": 0, "prefork": [True], "scipy": True}
+    # The coordinator imports the analyze program before forking; that
+    # import no longer drags scipy in (a static run never needs it).
+    assert result == {"code": 0, "prefork": [True], "scipy": False}
