@@ -8,7 +8,7 @@ records are collected in EXPERIMENTS.md.  SVG frames go under
 Perf trajectory: :func:`observed_run` executes a workload under the
 observability layer (:mod:`repro.obs`) and stamps the result as
 ``BENCH_<name>.json`` at the repository root, in the same
-``repro.obs/v1.2`` schema the CLI's ``--report`` flag writes — spans,
+``repro.obs/v1.3`` schema the CLI's ``--report`` flag writes — spans,
 metrics *and* the numerical-health snapshots the instrumented stages
 publish, so a bench record also carries mesh-quality and solver-health
 baselines.  Running this module directly regenerates two records:
@@ -195,12 +195,11 @@ def measure_obs_overhead(workload: Callable[[], Any],
 
     The ``--series`` sampler is priced separately as ``series_pct``
     (bounded at 2%): it runs on its own thread, so its tax is its
-    **duty cycle** — median per-sample cost over the sampling
-    interval — not a wall-time delta, which at this magnitude would
-    measure scheduler noise rather than the sampler.
+    **duty cycle** — median cost of one ``sample`` event into a
+    ledger over the sampling interval — not a wall-time delta, which
+    at this magnitude would measure scheduler noise rather than the
+    sampler.
     """
-    from repro.obs.series import DEFAULT_INTERVAL_S, SeriesSampler
-
     with tempfile.TemporaryDirectory() as tmp:
         def traced() -> None:
             observer = obs.enable(obs.Observer(collect_health=False))
@@ -221,12 +220,13 @@ def measure_obs_overhead(workload: Callable[[], Any],
             traced()
             traced_s = min(traced_s, time.perf_counter() - t0)
 
-        sampler = SeriesSampler(Path(tmp) / "series.jsonl")
         costs = []
-        for _ in range(50):
-            t0 = time.perf_counter()
-            sampler.sample_once()
-            costs.append(time.perf_counter() - t0)
+        with events.EventLedger(tmp) as ledger:
+            sampler = events.Sampler(ledger)
+            for _ in range(50):
+                t0 = time.perf_counter()
+                sampler.sample_once()
+                costs.append(time.perf_counter() - t0)
         sample_s = sorted(costs)[len(costs) // 2]
 
     pct = (100.0 * (traced_s - plain_s) / plain_s
@@ -236,7 +236,8 @@ def measure_obs_overhead(workload: Callable[[], Any],
         "traced_s": round(traced_s, 6),
         "series_sample_s": round(sample_s, 6),
         "ledger_trace_pct": round(max(pct, 0.0), 3),
-        "series_pct": round(100.0 * sample_s / DEFAULT_INTERVAL_S, 3),
+        "series_pct": round(100.0 * sample_s / events.SAMPLE_INTERVAL_S,
+                            3),
     }
 
 

@@ -6,9 +6,9 @@ re-run.  :class:`SweepGrid` declares those axes; :func:`run_sweep`
 expands a base analyze deck into one scenario deck per grid point and
 runs them all through the batch engine, so every scenario gets the full
 fleet treatment: per-scenario ``repro.analyze/v1`` manifests, the
-``repro.batch/v1`` roll-up, ledger events, series gauges and the shared
-stage cache (scenarios differing only in load reuse each other's
-idealization and stiffness stages).
+``repro.batch/v1`` roll-up, ledger events (``sample`` gauges under
+``--series``) and the shared stage cache (scenarios differing only in
+load reuse each other's idealization and stiffness stages).
 
 Grid axes:
 

@@ -44,7 +44,6 @@ from repro.batch.worker import run_job
 from repro.cards.card import deck_fingerprint
 from repro.errors import BatchError
 from repro.obs import events
-from repro.obs.series import SeriesSampler
 from repro.obs.span import new_span_id, new_trace_id
 
 log = logging.getLogger("repro.batch")
@@ -83,10 +82,9 @@ class BatchOptions:
     ledger: Optional[Union[str, Path]] = None
     #: Per-stage cProfile hotspot tables in every worker.
     profile: bool = False
-    #: Background metrics sampler writing ``series.jsonl`` next to the
-    #: ledger (or under the out root when no ledger is configured).
+    #: Background sampler appending ``sample`` events to the ledger
+    #: (``OUT/events.jsonl`` when no ledger is configured).
     series: bool = False
-    series_interval_s: float = 0.25
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -169,9 +167,11 @@ def run_batch(specs: Sequence[JobSpec],
     trace_id = obs.trace_id() or new_trace_id()
     root_span = new_span_id()
     ledger_file = (str(events.ledger_path(options.ledger))
-                   if options.ledger is not None else None)
+                   if options.ledger is not None
+                   else str(Path(out_root, events.LEDGER_FILENAME))
+                   if options.series else None)
     if ledger_file is not None:
-        events.enable(ledger_file)
+        ledger = events.enable(ledger_file)
         events.set_context(trace_id=trace_id)
         events.emit("run_started", schema=events.SCHEMA,
                     jobs=len(specs), workers=options.jobs,
@@ -198,13 +198,9 @@ def run_batch(specs: Sequence[JobSpec],
                                if done else None),
         }
 
-    sampler: Optional[SeriesSampler] = None
+    sampler: Optional[events.Sampler] = None
     if options.series:
-        series_target = (Path(ledger_file).parent
-                         if ledger_file is not None else Path(out_root))
-        sampler = SeriesSampler(series_target,
-                                interval_s=options.series_interval_s,
-                                provider=_fleet_gauges).start()
+        sampler = events.Sampler(ledger, provider=_fleet_gauges).start()
 
     try:
         records: Dict[str, Dict[str, Any]] = {}
@@ -348,6 +344,11 @@ def run_batch(specs: Sequence[JobSpec],
             ),
         )
         obs.gauge("batch.wall_s", manifest.summary["wall_s"])
+        if sampler is not None:
+            # The closing sample (queue_depth 0) lands before
+            # run_finished, so the ledger ends on the lifecycle event.
+            sampler.stop()
+            sampler = None
         events.emit("run_finished", ok=manifest.summary["ok"],
                     failed=manifest.summary["failed"],
                     rejected=manifest.summary["rejected"],

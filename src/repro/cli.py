@@ -83,14 +83,15 @@ manifest into Chrome trace-event JSON (``chrome://tracing`` /
 Perfetto) or folded stacks (flamegraph tooling).  ``--profile`` on
 ``idlz``/``ospl``/``batch run`` wraps each pipeline stage in cProfile:
 hotspot tables print to stderr, ride inside ``--report`` files
-(schema ``repro.obs/v1.2``), and a folded-stacks file lands next to
+(schema ``repro.obs/v1.3``), and a folded-stacks file lands next to
 the report.
 
-Continuous perf observability: per-stage resource deltas (peak RSS, GC
-collections, open FDs) ride in ``repro.obs/v1.3`` reports by default;
-``batch run --series`` samples fleet gauges into ``series.jsonl``;
-``obs top`` renders the live per-worker dashboard from ledger +
-series; and ``obs bench record | trend | check`` keeps the
+Continuous perf observability: per-stage resource deltas (RSS growth,
+GC collections, open FDs) and the run's peak RSS ride in
+``repro.obs/v1.3`` reports; ``batch run --series`` appends fleet
+gauges to the run ledger as ``sample`` events; ``obs top`` renders the
+live per-worker dashboard from that one ledger; and ``obs bench
+record | trend | check`` keeps the
 longitudinal ``BENCH_history.jsonl`` whose trend gate fails monotonic
 creep that ducks under the per-run ``obs check`` threshold.
 """
@@ -249,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
                                     "DIR/events.jsonl (follow with "
                                     "'obs tail')")
     analyze_sweep.add_argument("--series", action="store_true",
-                               help="sample fleet metrics into "
-                                    "series.jsonl next to the ledger")
+                               help="append fleet metric samples to the "
+                                    "ledger (OUT/events.jsonl without "
+                                    "--ledger)")
     _add_common_options(analyze_sweep)
 
     lint = sub.add_parser("lint", help="statically analyze decks "
@@ -382,10 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 "DIR/events.jsonl from every process "
                                 "of the run (follow with 'obs tail')")
     batch_run.add_argument("--series", action="store_true",
-                           help="sample fleet metrics (RSS, CPU%%, "
-                                "queue depth, decks/sec, cache hit-rate) "
-                                "into series.jsonl next to the ledger "
-                                "(watch with 'obs top')")
+                           help="append fleet metric samples (RSS, "
+                                "CPU%%, queue depth, decks/sec, cache "
+                                "hit-rate) to the ledger as 'sample' "
+                                "events, OUT/events.jsonl without "
+                                "--ledger (watch with 'obs top')")
     _add_common_options(batch_run)
 
     batch_status = batch_sub.add_parser(
@@ -478,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top_cmd = obs_sub.add_parser(
         "top", help="live per-worker dashboard over a run ledger "
-                    "(and its --series samples)")
+                    "(gauges from its --series samples)")
     top_cmd.add_argument("ledger", type=Path,
                          help="ledger file or its directory")
     top_cmd.add_argument("--once", action="store_true",

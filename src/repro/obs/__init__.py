@@ -48,8 +48,7 @@ __all__ = [
     "RunReport", "SCHEMA", "Span", "Tracer", "Observer",
     "capture", "count", "current", "disable", "enable", "enabled",
     "gauge", "health", "health_enabled", "new_span_id", "new_trace_id",
-    "observe", "profiling", "resource_record", "resources_enabled",
-    "span", "trace_id",
+    "observe", "profiling", "resource_record", "span", "trace_id",
 ]
 
 
@@ -70,17 +69,13 @@ class Observer:
 
     def __init__(self, trace_id: Optional[str] = None,
                  profile: bool = False,
-                 collect_health: bool = True,
-                 collect_resources: bool = True):
+                 collect_health: bool = True):
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.health = HealthLog()
         self.trace_id = trace_id if trace_id else new_trace_id()
         self.profile = profile
         self.collect_health = collect_health
-        #: Per-stage resource deltas (peak RSS, GC, FDs): cheap enough
-        #: to collect by default; ``False`` keeps spans/metrics only.
-        self.collect_resources = collect_resources
         self.profiles = ProfileLog()
         self.resources = ResourceLog()
 
@@ -89,13 +84,17 @@ class Observer:
 
         The report's meta always carries the trace context
         (``trace_id``, ``origin_unix``, ``pid``) so saved reports stay
-        assemblable; explicit ``meta`` keys win.
+        assemblable, and the process's high-water RSS so far
+        (``peak_rss_kb``); explicit ``meta`` keys win.
         """
         import os
+
+        from repro.obs.resources import peak_rss_kb
 
         meta.setdefault("trace_id", self.trace_id)
         meta.setdefault("origin_unix", self.tracer.origin_unix)
         meta.setdefault("pid", os.getpid())
+        meta.setdefault("peak_rss_kb", peak_rss_kb())
         return RunReport.from_observer(self, meta)
 
 
@@ -203,14 +202,9 @@ def health_enabled() -> bool:
     return bool(_observers) and _observers[-1].collect_health
 
 
-def resources_enabled() -> bool:
-    """True when the enabled observer collects per-stage resources."""
-    return bool(_observers) and _observers[-1].collect_resources
-
-
 def resource_record(stage: str, values: Any) -> None:
     """File one stage's resource record; no-op while disabled."""
-    if _observers and _observers[-1].collect_resources:
+    if _observers:
         _observers[-1].resources.record(stage, values)
 
 

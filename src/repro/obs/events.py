@@ -27,6 +27,9 @@ plus event-specific fields (``job_id``, ``trace_id``, ``stage``,
                     ``attempts``)
 ``stage_open``      a pipeline stage began (``stage``, ``cache``)
 ``stage_close``     ...and ended (``wall_s``)
+``sample``          ``--series`` gauges from the coordinator's
+                    :class:`Sampler` (``rss_kb``, ``cpu_pct``,
+                    ``queue_depth``, ``decks_sec``, ``cache_hit_rate``)
 ==================  ====================================================
 
 **Atomicity.**  Writers open the file ``O_APPEND`` and emit each record
@@ -45,19 +48,28 @@ anywhere, and everything is a cheap no-op while disabled.  Context
 fields (:func:`set_context`) ride on every subsequent record, so the
 pipeline runner can emit bare ``stage_open`` events and still have them
 carry the worker's ``job_id`` and ``trace_id``.
+
+The ledger is unbounded: a ``--series`` run adds four ``sample``
+records a second (~140 bytes each), about 50 MB a day of soak.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
+import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
+                    Union)
 
 from repro.errors import ObsError
+from repro.obs.resources import current_rss_kb
 
 SCHEMA = "repro.obs-events/v1"
+
+log = logging.getLogger("repro.obs")
 
 #: File name used when a ledger is given as a directory.
 LEDGER_FILENAME = "events.jsonl"
@@ -78,16 +90,20 @@ class EventLedger:
     def __init__(self, path: Union[str, Path]):
         self.path = ledger_path(path)
         self._fd: Optional[int] = None
+        # The coordinator's ledger is shared with the --series sampler
+        # thread: two first emits must not both open (and leak) an fd.
+        self._open_lock = threading.Lock()
 
     def _ensure_open(self) -> int:
-        if self._fd is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                str(self.path),
-                os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-                0o644,
-            )
-        return self._fd
+        with self._open_lock:
+            if self._fd is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fd = os.open(
+                    str(self.path),
+                    os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                    0o644,
+                )
+            return self._fd
 
     def emit(self, event: str, **fields: Any) -> None:
         """Append one event record (a single atomic write)."""
@@ -112,6 +128,91 @@ class EventLedger:
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         self.close()
         return False
+
+
+# ----------------------------------------------------------------------
+# The --series sampler
+# ----------------------------------------------------------------------
+
+#: Seconds between ``sample`` events: fast enough that a few-second
+#: batch still leaves a usable trace, slow enough to stay far under the
+#: 2% ``series_pct`` budget.
+SAMPLE_INTERVAL_S = 0.25
+
+
+def _process_tree_cpu_s() -> float:
+    """CPU seconds of this process *and its reaped children*.
+
+    ``os.times`` folds a pool worker's CPU in once the coordinator waits
+    on it, so ``cpu_pct`` reflects the fleet -- with steps as worker
+    generations retire -- rather than the mostly-idle coordinator.
+    """
+    t = os.times()
+    return t.user + t.system + t.children_user + t.children_system
+
+
+class Sampler:
+    """A daemon thread appending one ``sample`` event per interval.
+
+    It holds the coordinator's own :class:`EventLedger`, not the facade:
+    a ``--jobs 1`` run pushes the inline worker's ledger and ``job_id``
+    onto the facade stack, and samples must not carry them.  ``cpu_pct``
+    is the process-tree CPU delta over the wall delta since the previous
+    sample (above 100 means more than one busy core).  ``provider`` adds
+    the fleet gauges; an exception there, or an ``OSError`` writing,
+    loses that one sample and never the run.  :meth:`stop` joins the
+    thread and takes the closing sample, so call it before the final
+    lifecycle event.
+    """
+
+    def __init__(self, ledger: EventLedger,
+                 provider: Optional[Callable[[], Dict[str, Any]]] = None,
+                 interval_s: float = SAMPLE_INTERVAL_S):
+        self.ledger = ledger
+        self.provider = provider
+        self.interval_s = interval_s
+        self.samples_taken = 0
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+        self._last_wall = time.perf_counter()
+        self._last_cpu = _process_tree_cpu_s()
+
+    def sample_once(self) -> Dict[str, Any]:
+        """Take and append one sample; returns its fields."""
+        now_wall, now_cpu = time.perf_counter(), _process_tree_cpu_s()
+        dt = now_wall - self._last_wall
+        cpu_pct = 100.0 * (now_cpu - self._last_cpu) / dt if dt > 0 else 0.0
+        self._last_wall, self._last_cpu = now_wall, now_cpu
+        fields: Dict[str, Any] = {"rss_kb": current_rss_kb(),
+                                  "cpu_pct": round(cpu_pct, 2)}
+        try:
+            fields.update(self.provider() if self.provider else {})
+        except Exception:  # the thread outlives a bad gauge callback
+            log.debug("sample provider failed", exc_info=True)
+        try:
+            self.ledger.emit("sample", **fields)
+        except OSError:
+            pass
+        self.samples_taken += 1
+        return fields
+
+    def _run(self) -> None:
+        while not self._stop.wait(self.interval_s):
+            self.sample_once()
+
+    def start(self) -> "Sampler":
+        self._thread = threading.Thread(
+            target=self._run, name="obs-sampler", daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Join the thread, then take the closing sample."""
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._stop.set()
+            thread.join(timeout=5.0)
+            self.sample_once()
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ which is a no-op while no observer collects health; builders below
 that walk a mesh or a field are meant to be *called* only when
 ``obs.health_enabled()``, so disabled (or health-opted-out) runs never
 pay for them.  Snapshots serialize into the
-``health`` section of the ``repro.obs/v1.1`` run report.
+``health`` section of the ``repro.obs/v1.3`` run report.
 
 Like :mod:`repro.obs.span`, this module is import-cheap: numpy and the
 FEM quality measures are imported inside the builder functions only.

@@ -6,7 +6,7 @@ inside the stage* — without anyone re-running under an external tool.
 With ``--profile`` the stage-pipeline runner wraps each stage body in
 :class:`cProfile.Profile` and files the result here as a **hotspot
 table**: the top-N functions by cumulative time, as plain dicts that
-serialise into the ``profile`` section of a ``repro.obs/v1.2`` run
+serialise into the ``profile`` section of a ``repro.obs/v1.3`` run
 report.
 
 A stage that runs more than once per observation (one problem after

@@ -4,9 +4,8 @@ resources.
 The same schema (``repro.obs/v1.3``) is written by the CLI's ``--report``
 flag and by the benchmark harness, so the ``BENCH_*.json`` trajectory and
 ad-hoc runs can be diffed with the same tooling (``python -m repro obs
-diff``).  Loading accepts ``repro.obs/v1`` (no ``health`` section),
-``v1.1`` (no ``profile`` section), ``v1.2`` (no ``resources`` section)
-and ``v1.3``; anything else raises :class:`~repro.errors.ObsError`.
+diff``).  Loading accepts ``repro.obs/v1.3`` only; anything else raises
+:class:`~repro.errors.ObsError`.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ from typing import Any, Dict, List, Optional, Set, Union
 from repro.errors import ObsError
 
 SCHEMA = "repro.obs/v1.3"
-
-#: Schema versions :meth:`RunReport.load` accepts.
-ACCEPTED_SCHEMAS = ("repro.obs/v1", "repro.obs/v1.1", "repro.obs/v1.2",
-                    "repro.obs/v1.3")
 
 
 class RunReport:
@@ -66,12 +61,11 @@ class RunReport:
         if schema is None:
             raise ObsError(
                 "not a run report: missing 'schema' field "
-                f"(expected one of {', '.join(ACCEPTED_SCHEMAS)})"
+                f"(expected {SCHEMA})"
             )
-        if schema not in ACCEPTED_SCHEMAS:
+        if schema != SCHEMA:
             raise ObsError(
-                f"unsupported report schema {schema!r} "
-                f"(expected one of {', '.join(ACCEPTED_SCHEMAS)})"
+                f"unsupported report schema {schema!r} (expected {SCHEMA})"
             )
         return cls(meta=data.get("meta", {}), spans=data.get("spans", []),
                    metrics=data.get("metrics", {}),
@@ -175,10 +169,9 @@ class RunReport:
         return [e for e in self.resources if e.get("stage") == stage]
 
     def peak_rss_kb(self) -> Optional[int]:
-        """The run's high-water RSS across all resource records."""
-        peaks = [int(e["values"]["peak_rss_kb"]) for e in self.resources
-                 if "peak_rss_kb" in e.get("values", {})]
-        return max(peaks) if peaks else None
+        """The run's high-water RSS (``meta.peak_rss_kb``), if recorded."""
+        peak = self.meta.get("peak_rss_kb")
+        return int(peak) if isinstance(peak, (int, float)) else None
 
     # ------------------------------------------------------------------
     # Rendering (the CLI's --trace output)
@@ -226,7 +219,7 @@ class RunReport:
         return render_profile(self.profile, top_n=top_n)
 
     def render_resources(self) -> str:
-        """The per-stage resource table (``obs render`` on v1.3 runs)."""
+        """The per-stage resource table (``obs render``)."""
         from repro.obs.resources import render_resources
 
         return render_resources(self.resources)

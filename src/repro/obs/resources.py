@@ -1,12 +1,10 @@
 """Per-stage resource telemetry: memory, garbage collection, descriptors.
 
 Spans answer *where the wall-clock goes*; this module answers *what the
-run cost the machine* — the dimension the vectorization push (ROADMAP
-item 1) and the multi-host batch scale-out (item 4) would otherwise fly
-blind on.  A :func:`sample` freezes one moment of the process::
+run cost the machine*.  A :func:`sample` freezes one moment of the
+process::
 
     rss_kb        resident set right now (/proc/self/statm, Linux)
-    peak_rss_kb   high-water RSS (resource.getrusage ru_maxrss)
     gc_gen0/1/2   cumulative collector runs per generation
     open_fds      entries in /proc/self/fd (or a best-effort fallback)
     tracemalloc_kb  traced-allocation peak, when tracemalloc is running
@@ -15,22 +13,21 @@ and :func:`stage_delta` turns a before/after pair into the per-stage
 record the pipeline runner attaches to every stage span and files on
 the observer's :class:`ResourceLog`::
 
-    {"peak_rss_kb": 81408,      # process high-water mark after the stage
-     "rss_delta_kb": 1024,      # resident growth across the stage
+    {"rss_delta_kb": 1024,      # resident growth across the stage
      "gc_gen0": 3, "gc_gen1": 0, "gc_gen2": 0,   # collections *during*
      "open_fds": 7, "fd_delta": 0}               # descriptor accounting
 
-``ru_maxrss`` is a monotonic high-water mark — a stage that allocates
-and frees under the existing peak reads as zero growth, which is the
-honest answer for "did this stage raise the ceiling".  ``rss_delta_kb``
-catches what the stage *kept*.  Records ride in the ``resources``
-section of ``repro.obs/v1.3`` run reports (older schemas load with the
-section empty) and in each batch job's manifest ``obs`` block.
+Every field is true of its stage.  The high-water RSS is not: getrusage
+``ru_maxrss`` is the process's mark, so it is taken once per run, by
+:meth:`repro.obs.Observer.report`, as ``meta["peak_rss_kb"]``
+(:func:`peak_rss_kb`).  Records ride in the ``resources`` section of
+``repro.obs/v1.3`` run reports and in each batch job's manifest ``obs``
+block.
 
-Everything here is stdlib-only and cheap (a getrusage call, two /proc
-reads, a tuple of gc counters — single-digit microseconds), so the
-stage runner samples unconditionally whenever an observer collects
-resources; the 5% ledger+tracing overhead budget prices it.
+Everything here is stdlib-only and cheap (two /proc reads and a tuple
+of gc counters -- single-digit microseconds), so the stage runner
+samples whenever an observer is enabled; the 5% ledger+tracing overhead
+budget prices it.
 """
 
 from __future__ import annotations
@@ -55,23 +52,9 @@ class ResourceSample:
     """One frozen moment of the process's resource state."""
 
     rss_kb: int
-    peak_rss_kb: int
     gc_collections: Tuple[int, int, int]
     open_fds: int
     tracemalloc_kb: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "rss_kb": self.rss_kb,
-            "peak_rss_kb": self.peak_rss_kb,
-            "gc_gen0": self.gc_collections[0],
-            "gc_gen1": self.gc_collections[1],
-            "gc_gen2": self.gc_collections[2],
-            "open_fds": self.open_fds,
-        }
-        if self.tracemalloc_kb is not None:
-            data["tracemalloc_kb"] = self.tracemalloc_kb
-        return data
 
 
 def current_rss_kb() -> int:
@@ -125,7 +108,6 @@ def sample() -> ResourceSample:
         traced = peak // 1024
     return ResourceSample(
         rss_kb=current_rss_kb(),
-        peak_rss_kb=peak_rss_kb(),
         gc_collections=gc_collections(),
         open_fds=open_fd_count(),
         tracemalloc_kb=traced,
@@ -136,15 +118,13 @@ def stage_delta(before: ResourceSample,
                 after: Optional[ResourceSample] = None) -> Dict[str, Any]:
     """The per-stage resource record: what one stage did to the process.
 
-    Absolute values (``peak_rss_kb``, ``open_fds``) come from ``after``;
-    deltas are ``after - before``.  GC deltas are clamped at zero — a
+    The absolute ``open_fds`` comes from ``after``; deltas are ``after - before``.  GC deltas are clamped at zero — a
     mid-stage ``gc.collect(); gc.set_threshold(...)`` dance cannot make
     a stage report negative collections.
     """
     if after is None:
         after = sample()
     record: Dict[str, Any] = {
-        "peak_rss_kb": after.peak_rss_kb,
         "rss_delta_kb": after.rss_kb - before.rss_kb,
         "gc_gen0": max(after.gc_collections[0] - before.gc_collections[0], 0),
         "gc_gen1": max(after.gc_collections[1] - before.gc_collections[1], 0),
@@ -174,24 +154,10 @@ class ResourceLog:
         with self._lock:
             self._entries.append((stage, dict(values)))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> List[Tuple[str, Dict[str, Any]]]:
-        with self._lock:
-            return list(self._entries)
-
     def to_list(self) -> List[Dict[str, Any]]:
         with self._lock:
             return [{"stage": stage, "values": dict(values)}
                     for stage, values in self._entries]
-
-    def peak_rss_kb(self) -> Optional[int]:
-        """The run's high-water RSS across every recorded stage."""
-        with self._lock:
-            peaks = [int(v["peak_rss_kb"]) for _, v in self._entries
-                     if "peak_rss_kb" in v]
-        return max(peaks) if peaks else None
 
 
 def render_resources(entries: List[Dict[str, Any]]) -> str:
@@ -199,14 +165,13 @@ def render_resources(entries: List[Dict[str, Any]]) -> str:
     if not entries:
         return "resources: no samples recorded"
     lines = ["per-stage resources",
-             f"  {'stage':<22s} {'peak RSS':>10s} {'ΔRSS':>9s} "
+             f"  {'stage':<22s} {'ΔRSS':>9s} "
              f"{'gc 0/1/2':>9s} {'fds':>4s}"]
     for entry in entries:
         values = entry.get("values", {})
         gens = "/".join(str(values.get(f"gc_gen{g}", 0)) for g in range(3))
         lines.append(
             f"  {entry.get('stage', '?'):<22s}"
-            f" {values.get('peak_rss_kb', 0) / 1024.0:8.1f}MB"
             f" {values.get('rss_delta_kb', 0):+8d}K"
             f" {gens:>9s}"
             f" {values.get('open_fds', 0):>4d}"

@@ -1,17 +1,18 @@
 """``obs top``: a live per-worker dashboard over a running batch.
 
-The run ledger already streams every lifecycle event and ``--series``
-samples the fleet's levels; this module folds the two into one
-refreshing terminal view — who is running what, on which stage, which
-attempt, and how the run is moving (throughput, cache hits, RSS).
+The run ledger streams every lifecycle event and, under ``--series``,
+the fleet's levels as ``sample`` events; this module folds them into
+one refreshing terminal view — who is running what, on which stage,
+which attempt, and how the run is moving (throughput, cache hits, RSS).
 
 :func:`fold_events` is a pure reducer from a ledger event list to a
-:class:`TopState`; :func:`render_top` draws one frame from that state
-plus the newest series sample; :func:`run_top` is the CLI loop, re-
+:class:`TopState` (the newest ``sample`` included); :func:`render_top`
+draws one frame from that state; :func:`run_top` is the CLI loop, re-
 reading the ledger each refresh with the same torn-tail tolerance
-``obs tail`` has (a live writer can always be mid-line).  ``--once``
-draws a single frame and exits, which is what CI smokes and post-
-mortems on a finished run want.
+``obs tail`` has (a live writer can always be mid-line).  Interior
+corruption is an :class:`~repro.errors.ObsError`, not an empty frame.
+``--once`` draws a single frame and exits, which is what CI smokes and
+post-mortems on a finished run want.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Union
 
-from repro.obs import series as series_mod
 from repro.obs.events import ledger_path, read_events
 
 #: Seconds between frames in follow mode.
@@ -59,6 +59,7 @@ class TopState:
     failed: int = 0
     rejected: int = 0
     cache_hits: int = 0
+    sample: Optional[Dict[str, Any]] = None  # newest ``sample`` event
     workers: Dict[int, WorkerView] = field(default_factory=dict)
 
     @property
@@ -75,6 +76,9 @@ def fold_events(events: List[Dict[str, Any]]) -> TopState:
     state = TopState()
     for record in events:
         event = record.get("event")
+        if event == "sample":
+            state.sample = record
+            continue
         ts = record.get("ts")
         pid = record.get("pid")
         if isinstance(ts, (int, float)):
@@ -125,11 +129,10 @@ def _fmt_age(seconds: Optional[float]) -> str:
     return f"{int(seconds // 60):3d}m{int(seconds % 60):02d}"
 
 
-def render_top(state: TopState,
-               sample: Optional[Dict[str, Any]] = None,
-               now: Optional[float] = None) -> str:
+def render_top(state: TopState, now: Optional[float] = None) -> str:
     """One dashboard frame (no ANSI — the loop adds the clear)."""
     now = now if now is not None else time.time()
+    sample = state.sample
     lines: List[str] = []
     phase = ("finished" if state.finished_ts is not None
              else "running" if state.started_ts is not None else "no run")
@@ -188,23 +191,18 @@ def run_top(target: Union[str, Path], once: bool = False,
             out: Optional[TextIO] = None) -> int:
     """The ``obs top`` loop: fold, render, repeat until the run ends.
 
-    ``target`` is the ledger file or its directory; the series file is
-    looked for next to the ledger.  Follow mode exits on its own once
-    a ``run_finished`` event lands (after drawing the final frame).
-    ``max_frames`` bounds the loop for tests.
+    ``target`` is the ledger file or its directory; a ledger not
+    created yet draws the empty frame.  Follow mode exits on its own
+    once a ``run_finished`` event lands (after drawing the final
+    frame).  ``max_frames`` bounds the loop for tests.
     """
     out = out if out is not None else sys.stdout
     ledger = ledger_path(target)
-    series_file = ledger.parent / series_mod.SERIES_FILENAME
     frames = 0
     while True:
-        try:
-            events, _truncated = read_events(ledger)
-        except Exception:
-            events = []  # mid-write or not yet created; draw what we can
+        events = read_events(ledger)[0] if ledger.exists() else []
         state = fold_events(events)
-        sample = series_mod.latest_sample(series_file)
-        frame = render_top(state, sample)
+        frame = render_top(state)
         if once:
             print(frame, file=out, flush=True)
             return 0

@@ -172,8 +172,7 @@ class Pipeline:
         # body (cache restores included -- unpickling allocates too);
         # the delta lands on the span attrs and the observer's
         # ResourceLog, becoming the report's ``resources`` section.
-        res_before = (resources.sample()
-                      if obs.resources_enabled() else None)
+        res_before = resources.sample() if obs.enabled() else None
         start = perf_counter()
         with obs.span(qualified, **attrs) as span_handle:
             if cached is not None:
@@ -220,8 +219,6 @@ class Pipeline:
                 res_record = resources.stage_delta(res_before)
                 obs.resource_record(qualified, res_record)
                 if span_handle is not None:
-                    span_handle.set_attr("peak_rss_kb",
-                                         res_record["peak_rss_kb"])
                     span_handle.set_attr("rss_delta_kb",
                                          res_record["rss_delta_kb"])
         record = StageRecord(stage=qualified, cache=status,

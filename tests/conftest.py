@@ -1,11 +1,23 @@
-"""Shared fixtures: small canonical meshes and pre-built structures."""
+"""Shared fixtures: small canonical meshes and pre-built structures.
+
+Also the hypothesis profiles.  Tier 1 loads ``tier1``: derandomized
+draws and no example database, so every run gives the same verdict.
+``pytest --hypothesis-profile explore`` draws fresh examples instead;
+a failure found there gets pinned with ``@example``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.fem.mesh import Mesh
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None,
+                          print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -91,16 +91,24 @@ class TestBatchRunCli:
 
     def test_series_flag_samples_next_to_ledger(self, deck_dir,
                                                 tmp_path):
-        from repro.obs.series import read_series
+        from repro.obs.events import read_events
 
         ledger_dir = tmp_path / "led"
         code = main(["batch", "run", str(deck_dir / "*.deck"),
                      "-o", str(tmp_path / "out"), "--jobs", "2",
                      "--ledger", str(ledger_dir), "--series", "-q"])
         assert code == 0
-        samples, truncated = read_series(ledger_dir / "series.jsonl")
+        # One run record: the samples ride in the ledger itself.
+        assert sorted(p.name for p in ledger_dir.iterdir()) \
+            == ["events.jsonl"]
+        records, truncated = read_events(ledger_dir / "events.jsonl")
         assert not truncated
+        samples = [r for r in records if r["event"] == "sample"]
         assert samples, "stop() always takes a closing sample"
+        assert "job_id" not in samples[-1]
+        # The closing sample precedes run_finished, which ends the run.
+        assert records[-1]["event"] == "run_finished"
+        assert records[-2] is samples[-1]
         final = samples[-1]
         assert final["rss_kb"] > 0
         assert "cpu_pct" in final
@@ -110,14 +118,16 @@ class TestBatchRunCli:
 
     def test_series_without_ledger_lands_in_out_root(self, deck_dir,
                                                      tmp_path):
-        from repro.obs.series import read_series
+        from repro.obs.events import read_events
 
         out = tmp_path / "out"
         code = main(["batch", "run", str(deck_dir / "alpha.deck"),
                      "-o", str(out), "--series", "-q"])
         assert code == 0
-        samples, _ = read_series(out / "series.jsonl")
-        assert samples
+        assert not (out / "series.jsonl").exists()
+        records, _ = read_events(out / "events.jsonl")
+        assert [r for r in records if r["event"] == "sample"]
+        assert records[-1]["event"] == "run_finished"
 
     def test_ledger_events_carry_attempt_numbers(self, deck_dir,
                                                  tmp_path):

@@ -13,7 +13,7 @@ from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
 from repro.errors import ObsError
 from repro.obs.metrics import MetricsRegistry, percentile
-from repro.obs.report import ACCEPTED_SCHEMAS, SCHEMA, RunReport
+from repro.obs.report import RunReport
 
 
 def idealize_plate(cols: int = 40, rows: int = 60):
@@ -223,17 +223,12 @@ class TestRunReport:
         with pytest.raises(ObsError, match="not valid JSON"):
             RunReport.from_json("{not json")
 
-    def test_accepts_v1_reports_without_health(self):
-        assert "repro.obs/v1" in ACCEPTED_SCHEMAS
-        report = RunReport.from_dict({
-            "schema": "repro.obs/v1",
-            "meta": {"command": "idlz"},
-            "spans": [],
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-        })
-        assert report.health == []
-        # Re-serialising upgrades to the current schema.
-        assert report.to_dict()["schema"] == SCHEMA
+    def test_rejects_pre_v13_reports(self):
+        # v1.3 is the one report format: every checked-in record is v1.3.
+        for legacy in ("repro.obs/v1", "repro.obs/v1.1", "repro.obs/v1.2"):
+            with pytest.raises(ObsError, match="unsupported report schema"):
+                RunReport.from_dict({"schema": legacy, "meta": {},
+                                     "spans": [], "metrics": {}})
 
     def test_render_tree_mentions_spans_and_metrics(self):
         report = self.build_report()

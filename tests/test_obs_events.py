@@ -1,9 +1,13 @@
-"""The run ledger: atomic appends, torn-line tolerance, the facade."""
+"""The run ledger: atomic appends, torn-line tolerance, the facade,
+and the ``--series`` sampler's ``sample`` events."""
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -14,6 +18,7 @@ from repro.errors import ObsError
 from repro.obs import events
 from repro.obs.events import (
     EventLedger,
+    Sampler,
     follow_events,
     ledger_path,
     parse_events,
@@ -133,6 +138,129 @@ class TestConcurrentAppends:
             seqs = [r["seq"] for r in records if r["worker"] == w]
             assert seqs == sorted(seqs)
             assert len(seqs) == per_worker
+
+
+class TestSharedLedgerThreads:
+    def test_first_emits_from_two_threads_open_one_fd(self, tmp_path):
+        """The sampler thread and the coordinator share one ledger: a
+        racing first emit must not open (and leak) a second fd."""
+        before = len(os.listdir("/proc/self/fd")) if os.path.isdir(
+            "/proc/self/fd") else None
+        ledger = EventLedger(tmp_path / "events.jsonl")
+        gate = threading.Barrier(8, timeout=10.0)
+
+        def first_emit(i):
+            gate.wait()
+            ledger.emit("race", i=i)
+
+        threads = [threading.Thread(target=first_emit, args=(i,))
+                   for i in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        ledger.close()
+        if before is not None:
+            assert len(os.listdir("/proc/self/fd")) == before
+        records, truncated = read_events(tmp_path / "events.jsonl")
+        assert not truncated
+        assert sorted(r["i"] for r in records) == list(range(8))
+
+
+class TestSampler:
+    def test_thread_samples_while_work_runs(self, tmp_path):
+        """The sampler thread appends while the 'pipeline' thread
+        (here: the test) computes."""
+        with EventLedger(tmp_path) as ledger:
+            sampler = Sampler(ledger, provider=lambda: {"queue_depth": 7},
+                              interval_s=0.02).start()
+            deadline = time.monotonic() + 2.0
+            while (sampler.samples_taken < 3
+                   and time.monotonic() < deadline):
+                sum(i * i for i in range(1000))  # the "work"
+            sampler.stop()
+        records, truncated = read_events(tmp_path)
+        assert not truncated
+        assert len(records) >= 4  # three ticks and the closing sample
+        for record in records:
+            assert record["event"] == "sample"
+            assert record["queue_depth"] == 7
+            assert record["rss_kb"] > 0
+            assert isinstance(record["cpu_pct"], float)
+
+    def test_stop_joins_and_takes_closing_sample(self, tmp_path):
+        with EventLedger(tmp_path) as ledger:
+            sampler = Sampler(ledger, interval_s=30.0).start()
+            sampler.stop()
+            assert sampler.samples_taken == 1  # the closing sample only
+            assert not any(t.name == "obs-sampler"
+                           for t in threading.enumerate())
+            ledger.emit("run_finished")
+        names = [r["event"] for r in read_events(tmp_path)[0]]
+        assert names == ["sample", "run_finished"]
+
+    def test_provider_exception_loses_only_its_gauges(self, tmp_path):
+        def bad_provider():
+            raise RuntimeError("boom")
+
+        with EventLedger(tmp_path) as ledger:
+            record = Sampler(ledger, provider=bad_provider).sample_once()
+        assert "rss_kb" in record  # base fields survive the provider
+        records, _ = read_events(tmp_path)
+        assert [r["event"] for r in records] == ["sample"]
+
+    def test_write_failure_never_raises(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        ledger = EventLedger(blocker / "sub" / "events.jsonl")
+        sampler = Sampler(ledger)
+        sampler.sample_once()  # OSError swallowed: telemetry, not truth
+        assert sampler.samples_taken == 1
+
+    def test_cpu_pct_tracks_busy_time(self, tmp_path):
+        with EventLedger(tmp_path) as ledger:
+            sampler = Sampler(ledger)
+            t_end = time.perf_counter() + 0.2
+            while time.perf_counter() < t_end:
+                pass  # one core busy
+            busy = sampler.sample_once()["cpu_pct"]
+            time.sleep(0.2)
+            idle = sampler.sample_once()["cpu_pct"]
+        # Loose floor: a contended host may give the loop a fraction of
+        # a core, but never as little as a sleeping process gets.
+        assert busy > 10.0
+        assert idle < busy
+
+    def test_samples_skip_the_facade_context(self, tmp_path):
+        """An inline (``--jobs 1``) worker pushes its ``job_id`` onto the
+        facade; the coordinator's samples must not carry it."""
+        ledger = events.enable(tmp_path / "events.jsonl")
+        events.set_context(trace_id="t1")
+        events.enable(tmp_path / "events.jsonl")
+        events.set_context(job_id="inline-job")
+        Sampler(ledger).sample_once()
+        events.emit("stage_open", stage="idlz.read")
+        records, _ = read_events(tmp_path)
+        sample, stage = records
+        assert sample["event"] == "sample"
+        assert "job_id" not in sample and "trace_id" not in sample
+        assert stage["job_id"] == "inline-job"
+
+    def test_torn_final_sample_is_truncation(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with EventLedger(path) as ledger:
+            Sampler(ledger).sample_once()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"ts": 2.0, "event": "sample", "rss_')
+        records, truncated = read_events(path)
+        assert truncated
+        assert [r["event"] for r in records] == ["sample"]
 
 
 class TestFacade:

@@ -20,7 +20,7 @@ from repro.obs.profile import (
     merge_tables,
     render_profile,
 )
-from repro.obs.report import ACCEPTED_SCHEMAS, SCHEMA, RunReport
+from repro.obs.report import SCHEMA, RunReport
 
 
 def _busy(n=2000):
@@ -139,19 +139,6 @@ class TestProfiledRun:
 class TestSchemaCompat:
     def test_current_schema_is_v13(self):
         assert SCHEMA == "repro.obs/v1.3"
-        assert SCHEMA in ACCEPTED_SCHEMAS
-
-    def test_v1_through_v12_reports_still_load(self):
-        for legacy in ("repro.obs/v1", "repro.obs/v1.1",
-                       "repro.obs/v1.2"):
-            report = RunReport.from_dict({
-                "schema": legacy,
-                "meta": {"command": "idlz"},
-                "spans": [],
-                "metrics": {"counters": {}, "gauges": {}},
-            })
-            assert report.profile == {}
-            assert report.health == []
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ObsError, match="unsupported report schema"):

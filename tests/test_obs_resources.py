@@ -45,7 +45,6 @@ class TestSampling:
     def test_sample_fields(self):
         snap = sample()
         assert snap.rss_kb > 0
-        assert snap.peak_rss_kb > 0
         assert len(snap.gc_collections) == 3
 
     def test_stage_delta_shape(self):
@@ -53,10 +52,11 @@ class TestSampling:
         blob = [list(range(1000)) for _ in range(100)]
         delta = stage_delta(before)
         assert blob  # keep it alive across the delta
-        for key in ("peak_rss_kb", "rss_delta_kb", "gc_gen0",
+        for key in ("rss_delta_kb", "gc_gen0",
                     "gc_gen1", "gc_gen2", "open_fds", "fd_delta"):
             assert key in delta
-        assert delta["peak_rss_kb"] > 0
+        # The process high-water mark is not a per-stage value.
+        assert "peak_rss_kb" not in delta
         assert delta["gc_gen0"] >= 0
 
     def test_fd_delta_sees_an_opened_file(self, tmp_path):
@@ -72,16 +72,16 @@ class TestSampling:
 class TestResourceLog:
     def test_record_and_listing(self):
         log = ResourceLog()
-        log.record("idlz.shape", {"peak_rss_kb": 100, "rss_delta_kb": 5})
-        log.record("idlz.reform", {"peak_rss_kb": 140, "rss_delta_kb": 2})
+        log.record("idlz.shape", {"rss_delta_kb": 5})
+        log.record("idlz.reform", {"rss_delta_kb": 2})
         entries = log.to_list()
         assert [e["stage"] for e in entries] == ["idlz.shape",
                                                 "idlz.reform"]
-        assert log.peak_rss_kb() == 140
+        assert entries[1]["values"] == {"rss_delta_kb": 2}
 
     def test_render_table(self):
         entries = [{"stage": "idlz.shape",
-                    "values": {"peak_rss_kb": 2048, "rss_delta_kb": 512,
+                    "values": {"rss_delta_kb": 512,
                                "gc_gen0": 3, "open_fds": 6}}]
         table = render_resources(entries)
         assert "idlz.shape" in table
@@ -103,26 +103,18 @@ class TestPipelineIntegration:
         entries = report.resource_entries("bench.work")
         assert len(entries) == 1
         values = entries[0]["values"]
-        assert values["peak_rss_kb"] > 0
-        assert report.peak_rss_kb() == values["peak_rss_kb"]
+        assert "rss_delta_kb" in values
+        assert "peak_rss_kb" not in values
+        # The run's high-water mark is taken once, in the report meta.
+        assert report.meta["peak_rss_kb"] > 0
+        assert report.peak_rss_kb() == report.meta["peak_rss_kb"]
 
     def test_span_attrs_carry_rss(self):
         with obs.capture() as observer:
             self._pipeline().run({"x": 1})
         span = observer.report().find_spans("bench.work")[0]
-        assert span["attrs"]["peak_rss_kb"] > 0
+        assert "peak_rss_kb" not in span["attrs"]
         assert "rss_delta_kb" in span["attrs"]
-
-    def test_collect_resources_off_skips_capture(self):
-        observer = obs.enable(obs.Observer(collect_resources=False))
-        try:
-            self._pipeline().run({"x": 1})
-        finally:
-            obs.disable(observer)
-        report = observer.report()
-        assert report.resources == []
-        span = report.find_spans("bench.work")[0]
-        assert "peak_rss_kb" not in (span.get("attrs") or {})
 
     def test_disabled_observer_records_nothing(self):
         result = self._pipeline().run({"x": 1})
@@ -132,7 +124,7 @@ class TestPipelineIntegration:
 class TestReportSchema:
     def test_v13_round_trip_keeps_resources(self):
         with obs.capture() as observer:
-            observer.resources.record("idlz.shape", {"peak_rss_kb": 9})
+            observer.resources.record("idlz.shape", {"rss_delta_kb": 9})
         report = observer.report()
         data = report.to_dict()
         assert data["schema"] == "repro.obs/v1.3"
@@ -140,14 +132,15 @@ class TestReportSchema:
 
         loaded = RunReport.from_dict(data)
         assert loaded.resource_entries("idlz.shape")[0]["values"] == {
-            "peak_rss_kb": 9}
+            "rss_delta_kb": 9}
+        assert loaded.peak_rss_kb() == report.meta["peak_rss_kb"]
         assert "idlz.shape" in loaded.render_resources()
 
-    def test_v12_report_loads_with_empty_resources(self):
+    def test_report_without_meta_peak_has_none(self):
         from repro.obs.report import RunReport
 
         loaded = RunReport.from_dict({
-            "schema": "repro.obs/v1.2",
+            "schema": "repro.obs/v1.3",
             "meta": {}, "spans": [],
             "metrics": {"counters": {}, "gauges": {}},
         })

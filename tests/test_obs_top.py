@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import pytest
 
+from repro.errors import ObsError
 from repro.obs import events
-from repro.obs.series import SeriesWriter
 from repro.obs.top import TopState, fold_events, render_top, run_top
+
+#: A real ``batch run 'examples/decks/**/*.deck' --jobs 2 --series``
+#: ledger, and the frame ``obs top --once`` drew for that run when its
+#: samples still lived in a separate ``series.jsonl`` beside it.
+TOP_RUN = Path(__file__).parent / "data" / "top_run"
 
 
 @pytest.fixture(autouse=True)
@@ -80,14 +86,21 @@ class TestFoldEvents:
         assert state.total_jobs == 0
         assert not state.running
 
+    def test_newest_sample_kept_off_the_timeline(self):
+        state = fold_events(_run_events() + [
+            _event("sample", ts=1005.0, pid=1, rss_kb=1024),
+            _event("sample", ts=1006.0, pid=1, rss_kb=2048),
+        ])
+        assert state.sample["rss_kb"] == 2048
+        assert state.last_ts == 1002.1  # samples do not age the workers
+        assert 1 not in state.workers
+
 
 class TestRenderTop:
     def test_frame_contents(self):
         state = fold_events(_run_events())
-        frame = render_top(state, sample={"rss_kb": 2048,
-                                          "cpu_pct": 150.0,
-                                          "decks_sec": 2.5},
-                           now=1002.5)
+        state.sample = {"rss_kb": 2048, "cpu_pct": 150.0, "decks_sec": 2.5}
+        frame = render_top(state, now=1002.5)
         assert "3/4 done" in frame
         assert "1 cached" in frame
         assert "1 rejected" in frame
@@ -99,8 +112,7 @@ class TestRenderTop:
         assert "(idle)" in frame
 
     def test_frame_without_series_sample(self):
-        frame = render_top(fold_events(_run_events()), sample=None,
-                           now=1002.5)
+        frame = render_top(fold_events(_run_events()), now=1002.5)
         assert "decks_sec=" in frame  # derived from the fold instead
 
     def test_frame_with_no_activity(self):
@@ -119,9 +131,8 @@ class TestRunTop:
         ledger.close()
 
     def test_once_draws_single_frame(self, tmp_path, capsys):
-        self._write_ledger(tmp_path, _run_events())
-        SeriesWriter(tmp_path).append({"ts": 1002.0, "rss_kb": 4096,
-                                       "cpu_pct": 80.0})
+        self._write_ledger(tmp_path, _run_events()
+                           + [_event("sample", rss_kb=4096, cpu_pct=80.0)])
         out = io.StringIO()
         assert run_top(tmp_path, once=True, out=out) == 0
         frame = out.getvalue()
@@ -148,6 +159,29 @@ class TestRunTop:
         out = io.StringIO()
         assert run_top(tmp_path / "nowhere", once=True, out=out) == 0
         assert "no run" in out.getvalue()
+
+    def test_corrupt_ledger_is_an_error(self, tmp_path):
+        (tmp_path / "events.jsonl").write_text(
+            '{"ts": 1.0, "event": "run_started"}\nGARBAGE\n'
+            '{"ts": 2.0, "event": "job_queued"}\n')
+        with pytest.raises(ObsError, match="corrupt ledger line 2"):
+            run_top(tmp_path, once=True, out=io.StringIO())
+
+    def test_cli_corrupt_ledger_exits_nonzero(self, tmp_path, capsys):
+        from repro.cli import main
+
+        (tmp_path / "events.jsonl").write_text(
+            '{"ts": 1.0, "event": "run_started"}\nGARBAGE\n'
+            '{"ts": 2.0, "event": "job_queued"}\n')
+        assert main(["obs", "top", str(tmp_path), "--once"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "corrupt ledger line 2" in err
+
+    def test_frozen_frame_from_one_ledger(self):
+        """The one-ledger frame is the frame the two-file layout drew."""
+        out = io.StringIO()
+        assert run_top(TOP_RUN, once=True, out=out) == 0
+        assert out.getvalue() == (TOP_RUN / "frame.txt").read_text()
 
     def test_cli_once(self, tmp_path, capsys):
         from repro.cli import main
