@@ -4,7 +4,7 @@ The 1970 workflow this package scales up is the analyst feeding a tray
 of card decks to the 7090 overnight; here the tray is a glob, the
 operator is a :class:`~concurrent.futures.ProcessPoolExecutor`, and the
 "do not re-run what already ran" ledger is a content-addressed artifact
-cache keyed by (deck bytes, run options, code version).
+cache keyed by (deck bytes, run options, code digest).
 
 Layers:
 

@@ -6,81 +6,80 @@ change a job's products:
 * the deck's content fingerprint (:func:`repro.cards.card.deck_fingerprint`
   -- canonical card-tray bytes plus a program tag);
 * the run options that alter behaviour (``strict``);
-* the code version (:data:`repro.__version__`), so upgrading the
-  package invalidates every cached product at once.
+* the code digest (:func:`repro._version.code_digest`), so any byte
+  change to repro's source orphans every cached product at once.
+  Orphaned entries stay on disk until a prune exists.
 
 Layout under the cache root::
 
-    <root>/<key[:2]>/<key>/entry.json    -- job result record + metadata
+    <root>/<key[:2]>/<key>/entry.json    -- result record + artifact digests
     <root>/<key[:2]>/<key>/artifacts/    -- the job's output files
+    <root>/lint/<key[:2]>/<key>.json     -- lint verdicts
+    <root>/stages/                       -- the per-stage StageCache
 
-Stores are atomic: the entry is staged into a temporary sibling
-directory and renamed into place, so a killed batch never leaves a
-half-written entry that a later run would trust.
+Entry files go through :func:`repro.pipeline.cache.read_entry` and
+``write_entry`` (corruption or a foreign key is a miss; a failed store
+returns ``False``).  An artifact entry is staged in a dot-prefixed
+sibling directory and renamed into place, so a killed batch never
+leaves a half-written entry, and a lookup re-hashes the artifacts
+against the digests stored with it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
-from repro._version import __version__
-from repro.errors import BatchError
+from repro._version import code_digest
+from repro.pipeline.cache import entry_bytes, read_entry, write_entry
 
-if TYPE_CHECKING:
-    from repro.pipeline.cache import StageCache
+log = logging.getLogger("repro.cache")
 
-#: Cache entry format version (bump to orphan old entries wholesale).
-ENTRY_SCHEMA = "repro.batch-cache/v1"
 
-#: Lint-verdict sidecar format version (same bump rule).
-LINT_SCHEMA = "repro.batch-lint/v1"
+def _dumps(entry: Dict[str, Any]) -> bytes:
+    return (json.dumps(entry, indent=2) + "\n").encode()
 
 
 def cache_key(deck_fingerprint: str, program: str,
-              options: Optional[Dict[str, Any]] = None,
-              code_version: str = __version__) -> str:
+              options: Optional[Dict[str, Any]] = None) -> str:
     """The content address of one job's products (sha-256 hex)."""
     payload = json.dumps({
         "deck": deck_fingerprint,
         "program": program,
         "options": dict(sorted((options or {}).items())),
-        "code_version": code_version,
+        "code": code_digest(),
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def lint_key(deck_fingerprint: str, program: str, strict: bool,
-             code_version: str = __version__,
-             rules: Optional[str] = None) -> str:
+def lint_key(deck_fingerprint: str, program: str, strict: bool) -> str:
     """The content address of one deck's lint verdict (sha-256 hex).
 
-    Keyed like :func:`cache_key` -- deck content, program, the options
-    that change diagnostics (``strict`` escalates the LIM rules), the
-    code version, and the **rule-registry fingerprint** (a hash of
-    every rule's code/severity/title/template).  The fingerprint is
-    what invalidates stale verdicts in dev installs, where rules change
-    without a version bump; ``rules=None`` resolves it from the live
-    registry.
+    Keyed like :func:`cache_key` -- deck content, program, the option
+    that changes diagnostics (``strict`` escalates the LIM rules) and
+    the code digest, which covers the rule registry, the checkers and
+    the parsers they drive.
     """
-    if rules is None:
-        from repro.lint.registry import registry_fingerprint
-        rules = registry_fingerprint()
     payload = json.dumps({
         "deck": deck_fingerprint,
         "program": program,
         "strict": strict,
-        "code_version": code_version,
-        "rules": rules,
+        "code": code_digest(),
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _digests(directory: Path) -> Dict[str, str]:
+    """``{file name: sha-256}`` of every file in ``directory``."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in directory.iterdir()}
 
 
 @dataclass
@@ -113,62 +112,56 @@ class ArtifactCache:
         return self.root / key[:2] / key
 
     def lookup(self, key: str) -> Optional[CacheEntry]:
-        """The entry for ``key``, or ``None`` on a miss.
-
-        A directory whose ``entry.json`` is missing or unreadable counts
-        as a miss (and is left for a future store to overwrite) -- the
-        cache must never turn a corrupt entry into a failed batch.
-        """
+        """The entry for ``key``, or ``None`` on a miss: an unreadable
+        ``entry.json`` or artifacts that no longer hash to its digests
+        (left for a future store to overwrite)."""
         entry_dir = self._entry_dir(key)
-        entry_file = entry_dir / "entry.json"
-        try:
-            data = json.loads(entry_file.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if (not isinstance(data, dict)
-                or data.get("schema") != ENTRY_SCHEMA
-                or "result" not in data):
+        data = read_entry(entry_dir / "entry.json", key, json.loads)
+        if data is None or not isinstance(data.get("result"), dict):
             return None
         artifacts = entry_dir / "artifacts"
-        if not artifacts.is_dir():
+        try:
+            if _digests(artifacts) != data.get("artifacts"):
+                return None
+        except OSError:
             return None
         return CacheEntry(key=key, result=data["result"],
                           artifacts_dir=artifacts)
 
     def store(self, key: str, result: Dict[str, Any],
-              artifacts_dir: Union[str, Path]) -> CacheEntry:
-        """Store a finished job's record and products under ``key``."""
+              artifacts_dir: Union[str, Path]) -> bool:
+        """Store a finished job's record and products under ``key``;
+        returns whether the entry stuck and reads back."""
         artifacts_dir = Path(artifacts_dir)
         entry_dir = self._entry_dir(key)
-        entry_dir.parent.mkdir(parents=True, exist_ok=True)
-        stage = Path(tempfile.mkdtemp(
-            prefix=f".{key[:12]}-", dir=entry_dir.parent
-        ))
+        stage: Optional[Path] = None
         try:
+            entry_dir.parent.mkdir(parents=True, exist_ok=True)
+            stage = Path(tempfile.mkdtemp(prefix=".", dir=entry_dir.parent))
             staged_artifacts = stage / "artifacts"
             staged_artifacts.mkdir()
             for src in sorted(artifacts_dir.iterdir()):
                 if src.is_file():
                     shutil.copy2(src, staged_artifacts / src.name)
-            (stage / "entry.json").write_text(json.dumps({
-                "schema": ENTRY_SCHEMA,
+            (stage / "entry.json").write_bytes(entry_bytes({
                 "key": key,
-                "stored_unix": time.time(),
-                "code_version": __version__,
                 "result": result,
-            }, indent=2) + "\n")
+                "artifacts": _digests(staged_artifacts),
+            }, _dumps))
             if entry_dir.exists():
                 # Another run (or a prior partial batch) got here first;
                 # replace its entry with this freshly staged one.
                 shutil.rmtree(entry_dir)
             os.replace(stage, entry_dir)
         except OSError as exc:
-            shutil.rmtree(stage, ignore_errors=True)
-            raise BatchError(f"cannot store cache entry {key}: {exc}") from exc
-        entry = self.lookup(key)
-        if entry is None:
-            raise BatchError(f"cache entry {key} unreadable after store")
-        return entry
+            log.warning("cannot store cache entry %s: %s", key, exc)
+            if stage is not None:
+                shutil.rmtree(stage, ignore_errors=True)
+            return False
+        if self.lookup(key) is None:
+            log.warning("cache entry %s unreadable after store", key)
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Lint-verdict sidecar
@@ -178,68 +171,30 @@ class ArtifactCache:
 
     def lookup_lint(self, key: str) -> Optional[Dict[str, Any]]:
         """A stored lint verdict, or ``None``; corruption is a miss."""
-        try:
-            data = json.loads(self._lint_file(key).read_text())
-        except (OSError, json.JSONDecodeError):
+        entry = read_entry(self._lint_file(key), key, json.loads)
+        if entry is None or not isinstance(entry.get("verdict"), dict):
             return None
-        if (not isinstance(data, dict)
-                or data.get("schema") != LINT_SCHEMA
-                or not isinstance(data.get("verdict"), dict)):
-            return None
-        return data["verdict"]
+        return entry["verdict"]
 
-    def store_lint(self, key: str, verdict: Dict[str, Any]) -> None:
-        """Store one deck's lint verdict (atomic, like :meth:`store`)."""
-        path = self._lint_file(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps({
-            "schema": LINT_SCHEMA,
-            "key": key,
-            "stored_unix": time.time(),
-            "code_version": __version__,
-            "verdict": verdict,
-        }, indent=2) + "\n"
-        try:
-            fd, stage = tempfile.mkstemp(prefix=f".{key[:12]}-",
-                                         dir=path.parent)
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(stage, path)
-        except OSError as exc:
-            raise BatchError(
-                f"cannot store lint verdict {key}: {exc}"
-            ) from exc
+    def store_lint(self, key: str, verdict: Dict[str, Any]) -> bool:
+        """Store one deck's lint verdict; returns whether it stuck."""
+        return write_entry(self._lint_file(key),
+                           {"key": key, "verdict": verdict}, _dumps)
 
     # ------------------------------------------------------------------
     # Per-stage sidecar
     # ------------------------------------------------------------------
     @property
     def stage_root(self) -> Path:
-        """Where the per-stage entries live (``<root>/stages/``)."""
+        """Where the per-stage entries live (``<root>/stages/``), for
+        batch workers and the CLI's ``--cache-dir`` alike."""
         return self.root / "stages"
-
-    def stage_cache(self) -> "StageCache":
-        """The stage-granular cache sharing this root (lazy import).
-
-        Whole-deck entries answer "has this exact deck run before";
-        the stage cache underneath answers "which prefix of the
-        pipeline is unchanged" when the deck *has* been edited (see
-        docs/PIPELINE.md).
-        """
-        from repro.pipeline.cache import StageCache
-
-        return StageCache(self.stage_root)
 
     def __contains__(self, key: str) -> bool:
         return self.lookup(key) is not None
 
     def entry_count(self) -> int:
-        """Number of readable entries (used by ``batch status`` and tests)."""
-        count = 0
-        for shard in self.root.iterdir():
-            if (shard.is_dir() and not shard.name.startswith(".")
-                    and shard.name not in ("lint", "stages")):
-                for entry in shard.iterdir():
-                    if (entry / "entry.json").is_file():
-                        count += 1
-        return count
+        """Number of stored entries, not counting the dot-prefixed
+        staging directories of unfinished stores."""
+        return sum(1 for entry in self.root.glob("??/*/entry.json")
+                   if not entry.parent.name.startswith("."))

@@ -108,7 +108,7 @@ def job_fingerprint(spec: JobSpec) -> str:
 
 
 def job_cache_key(spec: JobSpec, fingerprint: str) -> str:
-    """The artifact-cache key: deck content + options + code version."""
+    """The artifact-cache key: deck content + options + code digest."""
     return cache_key(fingerprint, spec.program,
                      options={"strict": spec.strict})
 
@@ -117,13 +117,13 @@ def _lint_verdict(cache: Optional[ArtifactCache], spec: JobSpec,
                   fingerprint: str) -> Dict[str, Any]:
     """The lint verdict for one job, through the cache sidecar.
 
-    Verdicts are keyed on deck content + program + strict + code
-    version + the rule-registry fingerprint, so a warm rerun skips the
-    analysis entirely and a rule change -- even one without a version
-    bump -- invalidates every stored verdict at once.
+    Verdicts are keyed on deck content + program + strict + the code
+    digest, so a warm rerun skips the analysis entirely and any source
+    change -- a rule, a checker, a parser -- invalidates every stored
+    verdict at once.
     """
-    key = lint_key(fingerprint, spec.program, spec.strict)
     if cache is not None:
+        key = lint_key(fingerprint, spec.program, spec.strict)
         cached = cache.lookup_lint(key)
         if cached is not None:
             obs.count("batch.lint_cache_hits")
@@ -134,10 +134,7 @@ def _lint_verdict(cache: Optional[ArtifactCache], spec: JobSpec,
                        program=spec.program, strict=spec.strict)
     verdict = result.to_dict()
     if cache is not None:
-        try:
-            cache.store_lint(key, verdict)
-        except BatchError as exc:
-            log.warning("job %s: %s", spec.job_id, exc)
+        cache.store_lint(key, verdict)
     return verdict
 
 
@@ -434,18 +431,13 @@ def _stamp_wall_error(record: Dict[str, Any]) -> None:
 
 def _store(cache: ArtifactCache, spec: JobSpec,
            record: Dict[str, Any]) -> None:
-    """Store a fresh success; a full cache disk is a warning, not a halt."""
-    stored = {
+    """Store a fresh success (a failed store leaves the job ``ok``)."""
+    cache.store(job_cache_key(spec, record["fingerprint"]), {
         "status": "ok",
         "summary": record.get("summary"),
         "obs": record.get("obs"),
         "error": None,
-    }
-    try:
-        cache.store(job_cache_key(spec, record["fingerprint"]),
-                    stored, spec.out_dir)
-    except BatchError as exc:
-        log.warning("job %s: %s", spec.job_id, exc)
+    }, spec.out_dir)
 
 
 def _execute_all(

@@ -92,7 +92,7 @@ def deck_fingerprint(text: str, program: str) -> str:
 
     Hashes the canonical card-tray form under a program tag, so an IDLZ
     deck and a byte-identical OSPL deck never share a fingerprint.  The
-    batch engine combines this with the run options and the code version
+    batch engine combines this with the run options and the code digest
     to key its artifact cache.
     """
     digest = hashlib.sha256(f"{program}\n".encode())

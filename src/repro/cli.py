@@ -563,13 +563,14 @@ def _configure_logging(verbosity: int, quiet: bool) -> None:
 
 
 def _stage_cache(args: argparse.Namespace):
-    """The ``--cache-dir`` stage cache, rooted at ``DIR/stages`` so the
-    same directory warms both the CLI and ``batch run``."""
+    """The ``--cache-dir`` stage cache, rooted where ``batch run`` roots
+    its own, so the same directory warms both."""
     if args.cache_dir is None:
         return None
+    from repro.batch.cache import ArtifactCache
     from repro.pipeline import StageCache
 
-    return StageCache(args.cache_dir / "stages")
+    return StageCache(ArtifactCache(args.cache_dir).stage_root)
 
 
 def _run_idlz(args: argparse.Namespace) -> int:

@@ -27,10 +27,8 @@ deck by the engine rather than through the checker tables.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Dict, List
 
 from repro.errors import LintError
 from repro.lint.diagnostics import SEVERITIES
@@ -117,23 +115,6 @@ def explain(code: str) -> str:
     rule = get_rule(code)
     return (f"{rule.code} ({rule.severity}): {rule.title}\n\n"
             f"{rule.explain.strip()}\n")
-
-
-def registry_fingerprint() -> str:
-    """A stable hash of every registered rule's observable surface.
-
-    Covers (code, severity, title, template) for the whole registry, so
-    adding, removing or editing any rule -- even without a version
-    bump -- produces a new fingerprint.  The batch engine keys its
-    cached lint verdicts on this, which is what invalidates stale
-    verdicts in dev installs where ``code_version`` never moves.
-    """
-    _load_rules()
-    payload = json.dumps(
-        [[r.code, r.severity, r.title, r.template] for r in all_rules()],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 _loaded = False

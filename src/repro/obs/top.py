@@ -99,25 +99,24 @@ def fold_events(events: List[Dict[str, Any]]) -> TopState:
                 state.ok += 1
             else:
                 state.failed += 1
-        elif (isinstance(pid, int)
-              and event in ("job_started", "stage_open",
-                            "job_attempt_finished")):
-            # Only events a *worker* emits create a row — the
-            # coordinator's pid rides on job_queued/job_finished too,
-            # but it is not a worker and must not render as one.
+        elif event == "job_started" and isinstance(pid, int):
+            # Only starting a job makes a pid a worker row: the
+            # coordinator's pid rides on job_queued/job_finished and on
+            # the stage events of its planning pass, but it is not a
+            # worker unless it runs jobs itself (an inline --jobs 1 run).
             view = state.workers.setdefault(pid, WorkerView(pid=pid))
-            if event == "job_started":
-                view.job_id = record.get("job_id")
-                view.attempt = int(record.get("attempt", 1))
-                view.stage = None
-                view.since = ts if isinstance(ts, (int, float)) else None
-            elif event == "stage_open":
-                view.stage = record.get("stage")
-            else:  # job_attempt_finished
-                view.done += 1
-                view.job_id = None
-                view.stage = None
-                view.since = None
+            view.job_id = record.get("job_id")
+            view.attempt = int(record.get("attempt", 1))
+            view.stage = None
+            view.since = ts if isinstance(ts, (int, float)) else None
+        elif event == "stage_open" and pid in state.workers:
+            state.workers[pid].stage = record.get("stage")
+        elif event == "job_attempt_finished" and pid in state.workers:
+            view = state.workers[pid]
+            view.done += 1
+            view.job_id = None
+            view.stage = None
+            view.since = None
     return state
 
 

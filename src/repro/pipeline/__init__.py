@@ -15,7 +15,6 @@ facades over those builders.
 """
 
 from repro.pipeline.cache import (
-    STAGE_SCHEMA,
     StageCache,
     chain_key,
     chain_root,
@@ -26,7 +25,6 @@ from repro.pipeline.runner import Pipeline, PipelineResult, StageRecord
 from repro.pipeline.stage import Stage, stage
 
 __all__ = [
-    "STAGE_SCHEMA",
     "Context",
     "Pipeline",
     "PipelineResult",

@@ -4,18 +4,23 @@ Cache keys are *chained*: each cacheable stage's key is
 
     sha256(upstream chain key | stage name | stage fingerprint)
 
-with the chain rooted at ``sha256(pipeline name | code version)``.  The
+with the chain rooted at ``sha256(pipeline name | code digest)``.  The
 fingerprint covers only the stage's direct parameters (its slice of the
 deck, its options); everything it consumes from upstream is covered by
 the upstream key already folded into the chain.  Editing one input
 therefore invalidates exactly the first stage whose fingerprint sees it
 -- and everything downstream -- while every stage before it keeps its
-key and hits.  Bumping :data:`repro.__version__` orphans all entries at
-once, the same rule the whole-deck artifact cache uses.
+key and hits.  The root's code digest
+(:func:`repro._version.code_digest`) hashes every source file of the
+package, so any byte change to repro's source orphans every entry at
+once -- the rule the artifact cache and the lint verdicts share.  The
+price is one digest per process; orphaned entries stay until a prune
+exists.
 
-Entries are pickled stage-output dicts stored atomically (temp file +
-rename).  A corrupt, truncated or unreadable entry is a **miss**, never
-an error: the cache must never turn disk rot into a failed run.
+Every entry file of every cache goes through :func:`write_entry` (atomic
+temp file + rename) and :func:`read_entry`: a sha-256 line over the
+body, then the body with the ``key`` it was stored under.  A damaged or
+foreign entry is a **miss**, never an error or a wrong result.
 
 :func:`stable_digest` is the canonical fingerprint helper: a recursive,
 type-tagged serialisation of plain data, dataclasses and numpy arrays.
@@ -25,23 +30,22 @@ silently collapses distinct values is a cache-poisoning bug.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import logging
 import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
-from repro._version import __version__
+from repro._version import code_digest
 from repro.errors import PipelineError
 
-#: Stage-entry format version (bump to orphan old entries wholesale).
-#: v2: a ContourSet holds per-level arrays, not segment objects.
-#: v3: the OSPL labels stage also provides the boundary edge pairs.
-STAGE_SCHEMA = "repro.stage-cache/v3"
+log = logging.getLogger("repro.cache")
 
 
 # ----------------------------------------------------------------------
@@ -108,11 +112,10 @@ def stable_digest(*parts: Any) -> str:
     return h.hexdigest()
 
 
-def chain_root(pipeline_name: str,
-               code_version: str = __version__) -> str:
-    """The root of a pipeline's key chain (pipeline name + code version)."""
+def chain_root(pipeline_name: str) -> str:
+    """The root of a pipeline's key chain (pipeline name + code digest)."""
     return hashlib.sha256(
-        f"repro.stage/v1|{pipeline_name}|{code_version}".encode()
+        f"repro.stage/v1|{pipeline_name}|{code_digest()}".encode()
     ).hexdigest()
 
 
@@ -124,17 +127,70 @@ def chain_key(upstream: str, stage_name: str, fingerprint: str) -> str:
 
 
 # ----------------------------------------------------------------------
+# Entry files (shared by every cache)
+# ----------------------------------------------------------------------
+
+def read_entry(path: Path, key: str,
+               loads: Callable[[bytes], Any]) -> Optional[Dict[str, Any]]:
+    """The entry dict stored at ``path`` under ``key``, or ``None`` when
+    the file is missing, fails its sha-256 line (truncation, bit rot),
+    does not parse, or was stored under another key."""
+    try:
+        head, _, body = path.read_bytes().partition(b"\n")
+        if head != hashlib.sha256(body).hexdigest().encode():
+            return None
+        entry = loads(body)
+    except Exception:
+        return None
+    if not isinstance(entry, dict) or entry.get("key") != key:
+        return None
+    return entry
+
+
+def entry_bytes(entry: Dict[str, Any],
+                dumps: Callable[[Any], bytes]) -> bytes:
+    """The on-disk form :func:`read_entry` checks: digest line + body."""
+    body = dumps(entry)
+    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+
+
+def write_entry(path: Path, entry: Dict[str, Any],
+                dumps: Callable[[Any], bytes]) -> bool:
+    """Store ``entry`` at ``path`` via a dot-prefixed temp file renamed
+    over it; returns whether it stuck.  A payload ``dumps`` refuses (a
+    live handle) or a full disk means "not cached", never a failed run.
+    """
+    try:
+        data = entry_bytes(entry, dumps)
+    except Exception:
+        return False
+    staged: Optional[str] = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, staged = tempfile.mkstemp(prefix=".", dir=path.parent)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(staged, path)
+    except OSError as exc:
+        log.warning("cannot store cache entry %s: %s", path, exc)
+        if staged is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(staged)
+        return False
+    return True
+
+
+# ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
 
 class StageCache:
     """Content-addressed store of per-stage pipeline outputs.
 
-    Layout: ``<root>/<key[:2]>/<key>.pkl``.  The batch engine roots one
-    of these at ``<cache-dir>/stages/`` next to its whole-deck entries
-    (see :meth:`repro.batch.cache.ArtifactCache.stage_cache`); the CLI's
-    ``--cache-dir`` on single runs shares the same layout, so
-    interactive re-shaping and batch re-runs reuse each other's stages.
+    Layout: ``<root>/<key[:2]>/<key>.pkl``.  The batch engine and the
+    CLI's ``--cache-dir`` both root one of these at
+    :attr:`repro.batch.cache.ArtifactCache.stage_root`, so interactive
+    re-shaping and batch re-runs reuse each other's stages.
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -145,47 +201,19 @@ class StageCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     def lookup(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored output dict for ``key``, or ``None`` on a miss.
-
-        Corruption at any layer -- unreadable file, truncated pickle,
-        wrong schema, missing values -- is a miss.
-        """
-        try:
-            data = pickle.loads(self._path(key).read_bytes())
-        except Exception:
+        """The stored output dict for ``key``, or ``None`` on a miss
+        (see :func:`read_entry`)."""
+        entry = read_entry(self._path(key), key, pickle.loads)
+        if entry is None or not isinstance(entry.get("values"), dict):
             return None
-        if (not isinstance(data, dict)
-                or data.get("schema") != STAGE_SCHEMA
-                or not isinstance(data.get("values"), dict)):
-            return None
-        return data["values"]
+        return entry["values"]
 
     def store(self, key: str, values: Dict[str, Any]) -> bool:
-        """Store one stage's outputs; returns whether the store stuck.
-
-        An unpicklable output (a stage provided a live handle) or a full
-        disk degrades to "not cached" rather than failing the run.
-        """
-        path = self._path(key)
-        try:
-            payload = pickle.dumps({
-                "schema": STAGE_SCHEMA,
-                "key": key,
-                "code_version": __version__,
-                "values": values,
-            }, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return False
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, staged = tempfile.mkstemp(prefix=f".{key[:12]}-",
-                                          dir=path.parent)
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(staged, path)
-        except OSError:
-            return False
-        return True
+        """Store one stage's outputs; returns whether the store stuck."""
+        return write_entry(
+            self._path(key), {"key": key, "values": values},
+            lambda entry: pickle.dumps(entry,
+                                       protocol=pickle.HIGHEST_PROTOCOL))
 
     def __contains__(self, key: str) -> bool:
         return self.lookup(key) is not None

@@ -8,6 +8,9 @@ a failure found there gets pinned with ``@example``.
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -51,3 +54,23 @@ def built_structures():
 
     return {name: builder().build()
             for name, builder in STRUCTURES.items()}
+
+
+@pytest.fixture
+def source_copy(tmp_path, monkeypatch):
+    """A copy of the ``repro`` package that :func:`code_digest` hashes.
+
+    Edit files under the returned directory, then call
+    ``code_digest.cache_clear()`` to see the edit in the digest; the
+    real package's digest is restored afterwards.
+    """
+    from repro import _version
+
+    pkg = tmp_path / "source_copy" / "repro"
+    shutil.copytree(Path(_version.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(_version, "__file__", str(pkg / "_version.py"))
+    _version.code_digest.cache_clear()
+    yield pkg
+    monkeypatch.undo()
+    _version.code_digest.cache_clear()

@@ -7,6 +7,7 @@ import pytest
 from repro.batch.cache import ArtifactCache, cache_key
 from repro.cards.card import canonical_deck_text
 from repro.cards.card import deck_fingerprint
+from repro.pipeline.cache import entry_bytes
 
 
 def idlz_fingerprint(text):
@@ -71,10 +72,13 @@ class TestCacheKey:
         fp = idlz_fingerprint(DECK)
         assert cache_key(fp, "idlz") != cache_key(fp, "ospl")
 
-    def test_code_version_changes_it(self):
+    def test_code_version_changes_it(self, monkeypatch):
+        """The code's version is its source digest: an edit moves it."""
         fp = idlz_fingerprint(DECK)
-        assert (cache_key(fp, "idlz", code_version="1.0.0")
-                != cache_key(fp, "idlz", code_version="9.9.9"))
+        before = cache_key(fp, "idlz")
+        monkeypatch.setattr("repro.batch.cache.code_digest",
+                            lambda: "edited source")
+        assert cache_key(fp, "idlz") != before
 
     def test_option_order_is_irrelevant(self):
         fp = idlz_fingerprint(DECK)
@@ -140,9 +144,14 @@ class TestArtifactCache:
         key = "11" + "4" * 62
         cache.store(key, {"status": "ok"}, artifacts)
         entry_file = cache.root / key[:2] / key / "entry.json"
-        data = json.loads(entry_file.read_text())
-        data["schema"] = "something/else"
+        data = json.loads(entry_file.read_bytes().partition(b"\n")[2])
+        # A plain-JSON entry (no digest line) and a digest-framed one
+        # whose record is not a dict are both foreign layouts.
         entry_file.write_text(json.dumps(data))
+        assert cache.lookup(key) is None
+        data["result"] = "ok"
+        entry_file.write_bytes(entry_bytes(data, lambda d: json.dumps(
+            d).encode()))
         assert cache.lookup(key) is None
 
     def test_missing_artifacts_dir_reads_as_miss(self, tmp_path, artifacts):

@@ -131,29 +131,30 @@ class TestLintVerdictSidecar:
         assert second.job("bad")["lint"] == first.job("bad")["lint"]
         assert second.job("bad")["status"] == "rejected"
 
-    def test_lint_key_separates_every_input(self):
+    def test_lint_key_separates_every_input(self, monkeypatch):
         base = lint_key("fp", "idlz", False)
         assert lint_key("fp", "idlz", False) == base
         assert lint_key("fp2", "idlz", False) != base
         assert lint_key("fp", "ospl", False) != base
         assert lint_key("fp", "idlz", True) != base
-        assert lint_key("fp", "idlz", False, code_version="0.0.0") != base
-        assert lint_key("fp", "idlz", False, rules="deadbeef") != base
+        monkeypatch.setattr("repro.batch.cache.code_digest",
+                            lambda: "edited rule template")
+        assert lint_key("fp", "idlz", False) != base
 
-    def test_lint_key_defaults_to_the_live_registry_fingerprint(self):
-        from repro.lint.registry import registry_fingerprint
+    def test_lint_key_moves_with_a_rule_edit(self, source_copy):
+        """Editing a rule template without a version bump moves the
+        code digest, so every stored verdict is orphaned."""
+        from repro._version import code_digest
 
-        fp = registry_fingerprint()
-        assert lint_key("fp", "idlz", False) == \
-            lint_key("fp", "idlz", False, rules=fp)
-
-    def test_registry_fingerprint_is_stable_and_rule_sensitive(self):
-        from repro.lint.registry import registry_fingerprint
-
-        fp = registry_fingerprint()
-        assert fp == registry_fingerprint()
-        assert len(fp) == 16
-        int(fp, 16)  # hex digest prefix
+        base = lint_key("fp", "idlz", False)
+        rules = source_copy / "lint" / "rules_idlz.py"
+        text = rules.read_text()
+        edited = text.replace("deck truncated", "deck cut short", 1)
+        assert edited != text
+        rules.write_text(edited)
+        assert lint_key("fp", "idlz", False) == base   # digest is cached
+        code_digest.cache_clear()
+        assert lint_key("fp", "idlz", False) != base
 
     def test_store_and_lookup_roundtrip(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")

@@ -12,8 +12,8 @@ from repro.obs import events
 from repro.obs.top import TopState, fold_events, render_top, run_top
 
 #: A real ``batch run 'examples/decks/**/*.deck' --jobs 2 --series``
-#: ledger, and the frame ``obs top --once`` drew for that run when its
-#: samples still lived in a separate ``series.jsonl`` beside it.
+#: ledger, and the frame ``obs top --once`` draws for it: two worker
+#: rows (the coordinator's planning-pass stage events draw none).
 TOP_RUN = Path(__file__).parent / "data" / "top_run"
 
 
@@ -73,6 +73,30 @@ class TestFoldEvents:
     def test_coordinator_pid_is_not_a_worker(self):
         state = fold_events(_run_events())
         assert 1 not in state.workers
+
+    def test_coordinator_planning_stages_draw_no_row(self):
+        """The batch cache pass plans decks under the coordinator's pid;
+        its stage events must not make it a worker row."""
+        planning = [
+            _event("stage_open", ts=1000.05, pid=1, stage="plan.number"),
+            _event("stage_close", ts=1000.06, pid=1, stage="plan.number"),
+        ]
+        state = fold_events(_run_events()[:1] + planning
+                            + _run_events()[1:])
+        assert sorted(state.workers) == [20, 21]
+
+    def test_inline_run_keeps_its_one_row(self):
+        """With --jobs 1 the coordinator runs the jobs: one row."""
+        inline = [
+            _event("run_started", ts=1000.0, pid=1, jobs=1, workers=1),
+            _event("stage_open", ts=1000.05, pid=1, stage="plan.number"),
+            _event("job_started", ts=1000.1, pid=1, job_id="a"),
+            _event("stage_open", ts=1000.2, pid=1, stage="idlz.shape"),
+        ]
+        state = fold_events(inline)
+        assert list(state.workers) == [1]
+        assert state.workers[1].job_id == "a"
+        assert state.workers[1].stage == "idlz.shape"
 
     def test_run_finished_ends_the_run(self):
         state = fold_events(_run_events()
@@ -178,7 +202,7 @@ class TestRunTop:
         assert "error:" in err and "corrupt ledger line 2" in err
 
     def test_frozen_frame_from_one_ledger(self):
-        """The one-ledger frame is the frame the two-file layout drew."""
+        """The frame of a recorded run is stable, coordinator excluded."""
         out = io.StringIO()
         assert run_top(TOP_RUN, once=True, out=out) == 0
         assert out.getvalue() == (TOP_RUN / "frame.txt").read_text()

@@ -14,16 +14,16 @@ from __future__ import annotations
 import pickle
 
 import numpy as np
-import pytest
 
 from repro.batch import BatchOptions, discover_jobs, run_batch
 from repro.core.ospl.contour import ContourSet
 from repro.core.idlz.deck import IdlzProblem, write_idlz_deck
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.pipeline import STAGE_SCHEMA, StageCache
+from repro.pipeline import StageCache
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
+from repro.pipeline.cache import entry_bytes
 from repro.pipeline.idlz import run_idealization
 from repro.pipeline.ospl import conplt_pipeline
 
@@ -136,21 +136,30 @@ class TestCorruption:
         assert idealization_digest(ideal) == idealization_digest(uncached)
 
     def test_wrong_schema_entry_is_a_miss(self, tmp_path):
+        """An entry of another layout -- a bare pickle, no stored key,
+        values that are not an output dict -- is a miss."""
         cache = StageCache(tmp_path / "stages")
         key = "ab" * 32
         path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"schema": "other/v9",
-                                       "values": {"x": 1}}))
+        path.write_bytes(pickle.dumps({"key": key, "values": {"x": 1}}))
         assert cache.lookup(key) is None
-        path.write_bytes(pickle.dumps({"schema": STAGE_SCHEMA,
-                                       "values": "not a dict"}))
+        path.write_bytes(entry_bytes({"schema": "other/v9",
+                                      "values": {"x": 1}}, pickle.dumps))
         assert cache.lookup(key) is None
+        path.write_bytes(entry_bytes({"key": key, "values": "not a dict"},
+                                     pickle.dumps))
+        assert cache.lookup(key) is None
+        path.write_bytes(entry_bytes({"key": key, "values": {"x": 1}},
+                                     pickle.dumps))
+        assert cache.lookup(key) == {"x": 1}
 
-    def test_v1_contour_entry_is_a_miss_not_an_error(self, tmp_path):
+    def test_v1_contour_entry_is_a_miss_not_an_error(self, tmp_path,
+                                                      monkeypatch):
         """A v1 entry holds a ContourSet of per-level segment lists; read
-        into today's class it would break the labels stage.  The schema
-        bump turns it into a miss and the rerun re-stores the entry."""
+        into today's class it would break the labels stage.  Older code
+        stored it under a chain rooted at that code's digest, so today's
+        run never looks it up: every stage misses and re-stores."""
         mesh = Mesh(nodes=np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0],
                                     [0.0, 2.0]]),
                     elements=np.array([[0, 1, 2], [0, 2, 3]]))
@@ -160,22 +169,24 @@ class TestCorruption:
                  "title": "V1", "subtitle": "", "plotter": None,
                  "label_size": 9, "stroke_labels": False}
         cache = StageCache(tmp_path / "stages")
-        cold = conplt_pipeline().run(seeds, cache=cache)
+        with monkeypatch.context() as older:
+            older.setattr("repro.pipeline.cache.code_digest",
+                          lambda: "older code")
+            cold = conplt_pipeline().run(seeds, cache=cache)
         key = next(r.key for r in cold.stages if r.stage == "ospl.contour")
         stale = ContourSet.__new__(ContourSet)
         stale.__dict__.update(vars(cold["contours"]))
         stale.segments_by_level = {level: [] for level in stale.levels}
-        cache._path(key).write_bytes(pickle.dumps({
-            "schema": "repro.stage-cache/v1", "key": key,
-            "values": {"contours": stale},
-        }))
-        assert cache.lookup(key) is None
+        assert cache.store(key, {"contours": stale})
         warm = conplt_pipeline().run(seeds, cache=cache)
         statuses = {r.stage: r.cache for r in warm.stages}
-        assert statuses["ospl.intervals"] == "hit"
+        assert statuses["ospl.intervals"] == "miss"
         assert statuses["ospl.contour"] == "miss"
         assert warm["frame"].ops == cold["frame"].ops
-        assert cache.lookup(key) is not None
+        again = conplt_pipeline().run(seeds, cache=cache)
+        assert {r.stage: r.cache for r in again.stages}[
+            "ospl.contour"] == "hit"
+        assert again["frame"].ops == cold["frame"].ops
 
     def test_unpicklable_outputs_degrade_to_uncached(self, tmp_path):
         cache = StageCache(tmp_path / "stages")

@@ -224,11 +224,15 @@ class TestFingerprints:
         with pytest.raises(PipelineError, match="cannot fingerprint"):
             stable_digest(object())
 
-    def test_chain_keys_fold_upstream_and_version(self):
-        root_a = chain_root("idlz", code_version="1")
-        root_b = chain_root("idlz", code_version="2")
-        assert root_a != root_b          # version bump orphans entries
-        assert root_a != chain_root("ospl", code_version="1")
+    def test_chain_keys_fold_upstream_and_version(self, monkeypatch):
+        root_a = chain_root("idlz")
+        assert root_a == chain_root("idlz")
+        assert root_a != chain_root("ospl")
+        # Any source change moves the code digest, orphaning entries.
+        monkeypatch.setattr("repro.pipeline.cache.code_digest",
+                            lambda: "edited source")
+        root_b = chain_root("idlz")
+        assert root_a != root_b
         key = chain_key(root_a, "number", "fp")
         assert key != chain_key(root_b, "number", "fp")
         assert key != chain_key(root_a, "number", "fp2")
