@@ -11,7 +11,7 @@ observability layer (:mod:`repro.obs`) and stamps the result as
 ``repro.obs/v1.3`` schema the CLI's ``--report`` flag writes — spans,
 metrics *and* the numerical-health snapshots the instrumented stages
 publish, so a bench record also carries mesh-quality and solver-health
-baselines.  Running this module directly regenerates two records:
+baselines.  Running this module directly regenerates three records:
 
 * ``BENCH_idlz_stages.json`` -- the per-stage record of a paper-scale
   40 x 60 idealization stamped with the measured observability overhead
@@ -120,9 +120,10 @@ def idlz_large_probe(cols: int = 1000, rows: int = 1000):
     proves it at the million-node scale: a ``cols x rows`` idealization
     through the same stage pipeline as :func:`idlz_stage_probe`, then
     OSPL contour extraction of a synthetic field over the result.
-    Renumbering is off (NONUMB) -- reverse Cuthill-McKee is a
-    pure-Python frontier walk, and the point here is the kernel path,
-    not the heuristic.  Returns ``(idealization, contour set)``.
+    Renumbering is off (NONUMB): the probe measures the idealization
+    and contouring kernels, not the renumbering heuristic (reverse
+    Cuthill-McKee, level-set sweeps over CSR adjacency arrays).
+    Returns ``(idealization, contour set)``.
     """
     import numpy as np
 

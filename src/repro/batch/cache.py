@@ -90,14 +90,20 @@ class CacheEntry:
     result: Dict[str, Any]
     artifacts_dir: Path
 
-    def restore_into(self, dest: Union[str, Path]) -> List[str]:
-        """Copy the cached artifacts into ``dest``; returns the names."""
+    def restore_into(self, dest: Union[str, Path]) -> Optional[List[str]]:
+        """Copy the cached artifacts into ``dest``; returns the names, or
+        ``None`` when they vanished after the lookup -- another process
+        re-storing the key removes the old entry before renaming its own
+        in -- which the caller treats as a miss."""
         dest = Path(dest)
         dest.mkdir(parents=True, exist_ok=True)
         names: List[str] = []
-        for src in sorted(self.artifacts_dir.iterdir()):
-            shutil.copy2(src, dest / src.name)
-            names.append(src.name)
+        try:
+            for src in sorted(self.artifacts_dir.iterdir()):
+                shutil.copy2(src, dest / src.name)
+                names.append(src.name)
+        except FileNotFoundError:
+            return None
         return names
 
 

@@ -263,7 +263,10 @@ def run_batch(specs: Sequence[JobSpec],
                         pending.append(_carry_context(spec))
                         continue
                     entry = cache.lookup(job_cache_key(spec, fingerprint))
-                    if entry is None:
+                    restore_start = time.perf_counter()
+                    artifacts = (None if entry is None
+                                 else entry.restore_into(spec.out_dir))
+                    if artifacts is None:
                         records[spec.job_id]["cache"] = "miss"
                         # A whole-deck miss still reuses every pipeline
                         # stage whose inputs are unchanged, through the
@@ -272,8 +275,6 @@ def run_batch(specs: Sequence[JobSpec],
                             spec, stage_cache=str(cache.stage_root)
                         )))
                         continue
-                    restore_start = time.perf_counter()
-                    artifacts = entry.restore_into(spec.out_dir)
                     record = records[spec.job_id]
                     record.update(entry.result)
                     record.update(

@@ -8,7 +8,6 @@ text files (one card per line) -- our stand-in for a card tray.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, List
 
 from repro.errors import CardError
@@ -95,6 +94,8 @@ def deck_fingerprint(text: str, program: str) -> str:
     batch engine combines this with the run options and the code digest
     to key its artifact cache.
     """
+    import hashlib  # only cache keys need it: uncached runs skip OpenSSL
+
     digest = hashlib.sha256(f"{program}\n".encode())
     digest.update(canonical_deck_text(text).encode())
     return digest.hexdigest()

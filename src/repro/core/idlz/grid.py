@@ -6,8 +6,8 @@ from left to right and bottom to top" -- nodes shared between adjacent
 subdivisions are identified by their lattice coordinates and numbered
 exactly once.  The original stored this in the NUMBER(41, 61) array; we
 generalise it to a dynamically-sized array form: every subdivision's
-lattice points are generated as one ``(n, 2)`` block, the union is a
-single ``np.unique`` over ``(l, k)``-major integer keys (which *is* the
+lattice points are generated as one ``(n, 2)`` block, the union is the
+sorted distinct ``(l, k)``-major integer keys (which *is* the
 bottom-to-top, left-to-right numbering), and lookups are vectorized
 binary searches over the sorted keys -- no per-point Python loop and no
 fixed 41 x 61 bound anywhere.
@@ -46,9 +46,13 @@ class LatticeGrid:
         self._kspan = int(pts[:, 0].max()) - self._kmin + 1
         self._lmin = int(pts[:, 1].min())
         self._lspan = int(pts[:, 1].max()) - self._lmin + 1
-        # Bottom-to-top, left-to-right within a row: unique over keys
-        # sorted by (l, k).
-        self._keys = np.unique(self._encode(pts[:, 0], pts[:, 1]))
+        # Bottom-to-top, left-to-right within a row: the distinct keys,
+        # sorted by (l, k).  A sort and a neighbour diff rather than
+        # np.unique, whose masked-array check loads numpy.ma.
+        keys = np.sort(self._encode(pts[:, 0], pts[:, 1]))
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        self._keys = keys[distinct]
         #: ``(n, 2)`` int array of (k, l) per node, in node order.
         self.points = np.column_stack((
             self._keys % self._kspan + self._kmin,

@@ -18,21 +18,24 @@ reformation, and the ``handled``-edge discipline guarantees that every
 candidate edge the sequential sweep actually evaluates still sees its
 pass-start geometry (any edge adjacent to an already-swapped pair is in
 ``handled`` and skipped).  The convexity tests, opposite-vertex lookups
-and min-angle comparisons for *all* interior edges are therefore computed
-in one batch of numpy kernels, after which a cheap ordered replay applies
-the accepted swaps under the same first-encounter edge order and
-``handled`` bookkeeping as the original per-edge loop.
+and min-angle comparisons for every interior edge are therefore computed
+by numpy kernels over the pass-start connectivity -- in chunks of
+:data:`_CHUNK_EDGES` rows of the pass's one edge table, keeping only
+each chunk's accepted swaps, so the decision's scratch arrays are
+bounded by the chunk rather than by the mesh.  A cheap ordered replay
+then applies the accepted swaps under the same first-encounter edge
+order and ``handled`` bookkeeping as the original per-edge loop.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import MeshError
-from repro.fem.mesh import Mesh
+from repro.fem.mesh import EdgeTable, Mesh
 from repro.fem.quality import triangle_min_angles
 
 #: A swap must improve the pair's minimum angle by at least this much
@@ -42,6 +45,11 @@ _IMPROVEMENT_TOL = 1e-12
 #: Strict-convexity cross-product tolerance (matches
 #: :func:`repro.geometry.polygon.convex_quad`).
 _CONVEX_TOL = 1e-12
+
+#: Interior edges whose swap test runs as one batch of numpy kernels.
+#: The test's ~25 temporaries are this many rows long, not one row per
+#: edge of the mesh, which bounds a pass's scratch memory.
+_CHUNK_EDGES = 4096
 
 
 def reform_elements(mesh: Mesh, max_passes: int = 20) -> int:
@@ -80,25 +88,22 @@ def _convex_quads(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray,
     return np.all(big, axis=1) & same
 
 
-def _pass_candidates(mesh: Mesh) -> Tuple[np.ndarray, ...]:
-    """Every interior edge's swap evaluation, batched.
+def _chunk_swaps(mesh: Mesh, groups: np.ndarray, table: EdgeTable,
+                 rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The accepted swaps among the interior edges ``rows`` of ``table``.
 
-    Returns ``(a, b, e1, e2, tri1, tri2, accept)`` arrays over the
-    unique interior edges in first-encounter order: the edge's node
-    pair, its two elements (in encounter order -- that order decides
-    which element receives which new triangle), the replacement
-    connectivity, and whether the swap passes every test of the scalar
-    ``_try_swap``.
+    Returns ``(a, b, e1, e2, tri1, tri2)`` over the rows whose swap
+    passes every test of the scalar ``_try_swap``: the edge's sorted
+    node pair, its two elements (in encounter order -- that order
+    decides which element receives which new triangle) and their
+    replacement connectivity.
     """
     elements = mesh.elements
-    table = mesh.edge_table()
-    pair = table.count == 2
-    a = table.lo[pair]
-    b = table.hi[pair]
-    e1 = table.e1[pair]
-    e2 = table.e2[pair]
-    ok = np.asarray(mesh.element_groups)[e1] == \
-        np.asarray(mesh.element_groups)[e2]
+    ta, tb = table.a[rows], table.b[rows]
+    e1, e2 = table.e1[rows], table.e2[rows]
+    a = np.minimum(ta, tb)
+    b = np.maximum(ta, tb)
+    ok = groups[e1] == groups[e2]
     # Opposite vertices: exactly one vertex of each triangle off the edge.
     t1 = elements[e1]
     t2 = elements[e2]
@@ -130,6 +135,9 @@ def _pass_candidates(mesh: Mesh) -> Tuple[np.ndarray, ...]:
     proposed = np.minimum(ang3, ang4)
     with np.errstate(invalid="ignore"):
         ok &= proposed > current + _IMPROVEMENT_TOL
+    sel = np.flatnonzero(ok)
+    a, b, c, d = a[sel], b[sel], c[sel], d[sel]
+    pa, pb, pc, pd = pa[sel], pb[sel], pc[sel], pd[sel]
     # CCW orientation of the two replacement triangles (c, d, a) and
     # (c, d, b): flip the last two vertices on negative doubled area.
     area1 = (pd[:, 0] - pc[:, 0]) * (pa[:, 1] - pc[:, 1]) \
@@ -142,23 +150,42 @@ def _pass_candidates(mesh: Mesh) -> Tuple[np.ndarray, ...]:
     tri2 = np.stack((
         c, np.where(area2 < 0.0, b, d), np.where(area2 < 0.0, d, b),
     ), axis=1)
-    return a, b, e1, e2, tri1, tri2, ok
+    return a, b, e1[sel], e2[sel], tri1, tri2
+
+
+def _pass_candidates(mesh: Mesh) -> Optional[Tuple[np.ndarray, ...]]:
+    """Every accepted swap of one pass, decided chunk by chunk.
+
+    Returns :func:`_chunk_swaps`'s ``(a, b, e1, e2, tri1, tri2)`` arrays
+    over the whole mesh, in first-encounter edge order (``None`` when
+    the mesh has no interior edge).  Every chunk is judged on the
+    pass-start connectivity -- nothing is swapped until the replay --
+    so the result does not depend on :data:`_CHUNK_EDGES`.
+    """
+    table = mesh.edge_table()
+    interior = np.flatnonzero(table.count == 2)
+    groups = np.asarray(mesh.element_groups)
+    kept = [_chunk_swaps(mesh, groups, table,
+                         interior[start:start + _CHUNK_EDGES])
+            for start in range(0, len(interior), _CHUNK_EDGES)]
+    if not kept:
+        return None
+    return tuple(np.concatenate(column) for column in zip(*kept))
 
 
 def _reform_pass(mesh: Mesh) -> int:
     """One sweep over all interior edges; returns the number of swaps."""
     if mesh.n_elements == 0:
         return 0
-    a, b, e1, e2, tri1, tri2, ok = _pass_candidates(mesh)
-    sel = np.nonzero(ok)[0]
-    if not len(sel):
+    candidates = _pass_candidates(mesh)
+    if candidates is None or not len(candidates[0]):
         return 0
+    a, b, e1, e2, tri1, tri2 = candidates
     swaps = 0
     handled = set()
     rows = zip(
-        a[sel].tolist(), b[sel].tolist(),
-        e1[sel].tolist(), e2[sel].tolist(),
-        tri1[sel].tolist(), tri2[sel].tolist(),
+        a.tolist(), b.tolist(), e1.tolist(), e2.tolist(),
+        tri1.tolist(), tri2.tolist(),
     )
     for ea, eb, i1, i2, t1, t2 in rows:
         if (ea, eb) in handled:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import logging
 import os
 import pickle
@@ -51,6 +50,15 @@ log = logging.getLogger("repro.cache")
 # ----------------------------------------------------------------------
 # Fingerprints
 # ----------------------------------------------------------------------
+
+def _sha256(data: bytes = b"") -> "hashlib._Hash":
+    """A sha-256 hasher.  ``hashlib`` maps OpenSSL when imported, so it
+    loads with the first key or entry a run builds, not with this
+    module: runs without a cache never pay for it."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
 
 def _feed(h: "hashlib._Hash", obj: Any) -> None:
     """Feed one value into the hash with an unambiguous type tag."""
@@ -106,7 +114,7 @@ def stable_digest(*parts: Any) -> str:
     anything else raises :class:`~repro.errors.PipelineError` rather
     than fingerprinting by object identity.
     """
-    h = hashlib.sha256(b"repro.fp/v1\n")
+    h = _sha256(b"repro.fp/v1\n")
     for part in parts:
         _feed(h, part)
     return h.hexdigest()
@@ -114,14 +122,14 @@ def stable_digest(*parts: Any) -> str:
 
 def chain_root(pipeline_name: str) -> str:
     """The root of a pipeline's key chain (pipeline name + code digest)."""
-    return hashlib.sha256(
+    return _sha256(
         f"repro.stage/v1|{pipeline_name}|{code_digest()}".encode()
     ).hexdigest()
 
 
 def chain_key(upstream: str, stage_name: str, fingerprint: str) -> str:
     """The content address of one stage's outputs."""
-    return hashlib.sha256(
+    return _sha256(
         f"{upstream}|{stage_name}|{fingerprint}".encode()
     ).hexdigest()
 
@@ -137,7 +145,7 @@ def read_entry(path: Path, key: str,
     does not parse, or was stored under another key."""
     try:
         head, _, body = path.read_bytes().partition(b"\n")
-        if head != hashlib.sha256(body).hexdigest().encode():
+        if head != _sha256(body).hexdigest().encode():
             return None
         entry = loads(body)
     except Exception:
@@ -151,7 +159,7 @@ def entry_bytes(entry: Dict[str, Any],
                 dumps: Callable[[Any], bytes]) -> bytes:
     """The on-disk form :func:`read_entry` checks: digest line + body."""
     body = dumps(entry)
-    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+    return _sha256(body).hexdigest().encode() + b"\n" + body
 
 
 def write_entry(path: Path, entry: Dict[str, Any],

@@ -3,9 +3,10 @@
 Each case damages or races one store the way a real fault would -- a
 truncated or bit-flipped file, an entry copied under another key's
 path, a full disk, a staging leftover of a killed store, two writers on
-one key -- and checks that the store answers with a miss (or a stored
-entry that is exactly what was written), never a wrong payload, and
-that a failed store never fails the batch job that produced the values.
+one key, a reader racing a re-store -- and checks that the store
+answers with a miss (or a stored entry that is exactly what was
+written), never a wrong payload, and that a failed store never fails
+the batch job that produced the values.
 """
 
 from __future__ import annotations
@@ -294,3 +295,74 @@ def test_full_disk_never_fails_a_job(tmp_path, monkeypatch, fault):
     rerun = _batch(tmp_path, "rerun")
     assert [job["cache"] for job in rerun.jobs] == ["miss", "miss"]
     assert _batch(tmp_path, "warm").summary["cache_hits"] == 2
+
+
+class TestRestoreRace:
+    """A hit whose artifacts vanish before the restore is a miss.
+
+    Re-storing a key removes the old entry directory and renames the new
+    one in, so a reader holding a lookup from just before can find its
+    artifacts gone.
+    """
+
+    def test_vanished_artifacts_restore_as_none(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        assert store.store(KEY)
+        entry = store.cache.lookup(KEY)
+        shutil.rmtree(store.location(KEY))
+        assert entry.restore_into(tmp_path / "dest") is None
+
+    def test_reader_against_rewriter(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        assert store.store(KEY)
+        names = sorted(store.expected()[1])
+        stop = threading.Event()
+        errors: List[BaseException] = []
+
+        def rewrite() -> None:
+            try:
+                while not stop.is_set():
+                    store.store(KEY, tag=1)
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=rewrite)
+        writer.start()
+        restored = []
+        try:
+            for i in range(200):
+                entry = store.cache.lookup(KEY)
+                if entry is not None:
+                    restored.append(entry.restore_into(tmp_path / f"d{i}"))
+        finally:
+            stop.set()
+            writer.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive() and errors == []
+        assert restored
+        assert all(got in (None, names) for got in restored)
+
+    def test_batch_runs_a_job_whose_hit_vanishes(self, tmp_path,
+                                                 monkeypatch):
+        assert _batch(tmp_path, "cold").ok
+        lookup = ArtifactCache.lookup
+        raced: set = set()
+
+        def vanishing(cache: ArtifactCache, key: str):
+            """The cache pass's lookup of each key loses the race; the
+            job's own store (which reads its entry back) does not."""
+            entry = lookup(cache, key)
+            if entry is not None and key not in raced:
+                raced.add(key)
+                shutil.rmtree(entry.artifacts_dir.parent)
+            return entry
+
+        with monkeypatch.context() as race:
+            race.setattr(ArtifactCache, "lookup", vanishing)
+            rerun = _batch(tmp_path, "raced")
+        assert len(raced) == 2 and rerun.ok
+        assert [(job["status"], job["cache"]) for job in rerun.jobs] == \
+            [("ok", "miss"), ("ok", "miss")]
+        assert _batch(tmp_path, "warm").summary["cache_hits"] == 2

@@ -1,11 +1,15 @@
 """Unit tests for element reformation (diagonal swapping)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core.idlz.elements import create_elements
+from repro.core.idlz.grid import LatticeGrid
 from repro.core.idlz.reform import quality_report, reform_elements
+from repro.core.idlz.subdivision import Subdivision
 from repro.errors import MeshError
 from repro.fem.mesh import Mesh
 
@@ -115,6 +119,38 @@ class TestOnRealMeshes:
                 (min(a, b), max(a, b)) for a, b in post.boundary_edges()
             }
             assert pre_boundary == post_boundary, name
+
+
+def tapered_lattice_mesh(n: int) -> Mesh:
+    """An ``n x n``-cell lattice narrowed towards the top, so reform has
+    swaps to make as well as edges to judge."""
+    grid = LatticeGrid([Subdivision(index=1, kk1=1, ll1=1,
+                                    kk2=n + 1, ll2=n + 1)])
+    nodes = grid.lattice_coordinates_array() - 1.0
+    nodes[:, 0] = nodes[:, 0] * (1.0 - 0.4 * nodes[:, 1] / n) \
+        + 0.2 * nodes[:, 1]
+    triangles, groups = create_elements(grid)
+    return Mesh(nodes=nodes, elements=np.asarray(triangles, dtype=int),
+                element_groups=np.asarray(groups, dtype=int))
+
+
+class TestBoundedMemory:
+    #: Traced peak allowed for reforming the 200 x 200 lattice (80,000
+    #: elements, ~120,000 interior edges).  Chunked, the decision adds
+    #: little to the edge table (~18 MB in all); deciding every edge
+    #: at once peaked near 60 MB.
+    PEAK_BOUND_MB = 30.0
+
+    def test_reform_peak_is_bounded(self):
+        mesh = tapered_lattice_mesh(200)
+        tracemalloc.start()
+        try:
+            swaps = reform_elements(mesh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert swaps > 0
+        assert peak / 1e6 < self.PEAK_BOUND_MB
 
 
 class TestQualityReport:

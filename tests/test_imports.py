@@ -3,9 +3,10 @@
 Package ``__init__``s re-export lazily (:mod:`repro._lazy`) and the FEM
 modules import scipy only inside the MODAL, THERMAL and sparse solves,
 so the ``idlz``, ``ospl``, ``lint`` and ``plan`` programs and a static
-banded ``analyze run`` never load scipy, every module imports cleanly
-as the first ``repro`` import, and every re-exported name still resolves
-to its defining module's object.  Each check that depends on a fresh
+banded ``analyze run`` never load scipy, those deck programs load
+neither ``hashlib`` nor ``numpy.ma`` without a cache, every module
+imports cleanly as the first ``repro`` import, and every re-exported
+name still resolves to its defining module's object.  Each check that depends on a fresh
 interpreter runs in a subprocess.
 """
 
@@ -23,6 +24,8 @@ from pathlib import Path
 from typing import Dict, List
 
 import pytest
+
+from repro.batch.jobs import classify_deck_path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -100,6 +103,32 @@ def test_deck_programs_never_load_scipy(tmp_path):
     ]
     result = _run_python(_CLI_RUN.format(argvs=argvs))
     assert result == {"codes": [0, 0, 0, 0], "scipy": False}
+
+
+def test_uncached_deck_programs_skip_hashing_and_masked_arrays(tmp_path):
+    """Only cache keys hash (``_hashlib`` maps OpenSSL), and nothing on
+    these paths needs ``numpy.ma``: runs without ``--cache-dir`` load
+    neither."""
+    argvs = [["lint", str(DECKS), "-R"], ["plan", "run", str(DECKS), "-R"]]
+    for deck in sorted(DECKS.rglob("*.deck")):
+        program = classify_deck_path(deck)
+        out = tmp_path / f"{deck.stem}.svg" if program == "ospl" \
+            else tmp_path / deck.stem
+        if program in ("idlz", "ospl"):
+            argvs.append([program, str(deck), "-o", str(out)])
+    result = _run_python(f"""
+        import contextlib, io, json, sys
+        from repro.cli import main
+        codes = []
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        print(json.dumps({{"codes": codes, "loaded": sorted(
+            m for m in ("_hashlib", "hashlib", "numpy.ma")
+            if m in sys.modules)}}))
+    """)
+    assert len(argvs) > 10
+    assert result == {"codes": [0] * len(argvs), "loaded": []}
 
 
 def _loaded_by(argv: List[str], prefixes) -> Dict:

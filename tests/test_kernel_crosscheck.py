@@ -7,14 +7,20 @@ reimplementations of the per-node/per-element loops kept alive in
 ``tests/scalar_reference.py``, not approximations of them.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.batch.jobs import classify_deck_path
+from repro.cards.reader import CardReader
+from repro.core.idlz import reform as reform_module
 from repro.core.idlz.elements import create_elements, triangulate_strip
 from repro.core.idlz.grid import LatticeGrid
 from repro.core.idlz.output import print_listing
+from repro.core.idlz.program import run_idlz
 from repro.core.idlz.reform import reform_elements
 from repro.core.idlz.shaping import Shaper, ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
@@ -54,6 +60,8 @@ from tests.scalar_reference import (
     scalar_vector_ops,
     scalar_zipper,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _shape_vectorized(grid, subdivisions, segments):
@@ -156,6 +164,90 @@ class TestReformCrossCheck:
         swaps_ref = scalar_reform(mesh_ref)
         assert swaps_vec == swaps_ref
         assert np.array_equal(mesh_vec.elements, mesh_ref.elements)
+
+
+#: Reform decision chunk sizes: one edge per chunk, a size that splits
+#: every mesh unevenly, the production size, and more edges than any
+#: mesh here has (one chunk).
+REFORM_CHUNKS = (1, 3, 4096, 10 ** 9)
+
+#: The same for the 29,000-edge benchmark trapezoid, where one- and
+#: three-edge chunks would cost tens of seconds of numpy call overhead:
+#: 97 still splits it unevenly into ~300 chunks per pass.
+LARGE_REFORM_CHUNKS = (97, 4096, 10 ** 9)
+
+
+def _pass_counts(reform_pass, mesh):
+    """Swaps per pass until a pass swaps nothing (at most 20 passes)."""
+    counts = []
+    for _ in range(20):
+        counts.append(reform_pass(mesh))
+        if counts[-1] == 0:
+            break
+    return counts
+
+
+def _check_reform_chunks(mesh, reference=None, chunks=REFORM_CHUNKS):
+    """Reform ``mesh`` under each of ``chunks`` against the scalar sweep
+    (or a ``(pass counts, elements)`` reference computed from it)."""
+    if reference is None:
+        ref = mesh.copy()
+        reference = (_pass_counts(scalar_reference.scalar_reform_pass, ref),
+                     ref.elements)
+    counts_ref, elements_ref = reference
+    for chunk in chunks:
+        trial = mesh.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reform_module, "_CHUNK_EDGES", chunk)
+            counts = _pass_counts(
+                lambda m: reform_elements(m, max_passes=1), trial)
+        assert counts == counts_ref, chunk
+        assert np.array_equal(trial.elements, elements_ref), chunk
+
+
+#: The golden corpus's IDLZ decks, relative to the repo root.
+GOLDEN_IDLZ = sorted(
+    deck.relative_to(ROOT).as_posix()
+    for deck in (ROOT / "examples" / "decks").rglob("*.deck")
+    if classify_deck_path(deck) == "idlz")
+
+
+@pytest.fixture(scope="module")
+def trapezoid_80x122():
+    """The 80 x 122 trapezoid of the large-mesh benchmark, pre-reform,
+    with its scalar reference reform (a few seconds, computed once)."""
+    sub = Subdivision(index=1, kk1=1, ll1=1, kk2=80, ll2=122)
+    segments = [
+        ShapingSegment(1, 1, 1, 80, 1, 0.0, 0.0, 22.06, 0.0),
+        ShapingSegment(1, 1, 122, 80, 122, 3.77, 32.57, 18.29, 32.57),
+    ]
+    ideal, _ = run_idealization(title="TRAPEZOID 80X122",
+                                subdivisions=[sub], segments=segments,
+                                renumber=False)
+    mesh = ideal.prereform_mesh
+    ref = mesh.copy()
+    counts = _pass_counts(scalar_reference.scalar_reform_pass, ref)
+    return mesh, (counts, ref.elements)
+
+
+class TestReformChunkCrossCheck:
+    """The chunked swap decision is independent of the chunk size."""
+
+    @given(any_assemblage())
+    @settings(max_examples=30, deadline=None)
+    def test_random_assemblages(self, assemblage):
+        _check_reform_chunks(_build_mesh(*assemblage))
+
+    @pytest.mark.parametrize("rel", GOLDEN_IDLZ)
+    def test_golden_corpus_meshes(self, rel):
+        reader = CardReader.from_text((ROOT / rel).read_text())
+        for run in run_idlz(reader):
+            _check_reform_chunks(run.idealization.prereform_mesh)
+
+    def test_large_trapezoid(self, trapezoid_80x122):
+        mesh, reference = trapezoid_80x122
+        assert reference[0] == [4719, 0]
+        _check_reform_chunks(mesh, reference, LARGE_REFORM_CHUNKS)
 
 
 # ----------------------------------------------------------------------
