@@ -46,8 +46,8 @@ def test_ablation_solver(benchmark):
     mesh = built.mesh
     sky = assemble_skyline(mesh, built.group_materials, "axisymmetric")
     rhs = analysis.loads.vector(mesh.n_nodes)
-    for dof, value in analysis.constraints.global_dofs(mesh.n_nodes):
-        sky.constrain_dof(dof, rhs, value)
+    part = analysis.constraints.partition(mesh.n_nodes)
+    sky.constrain(part.fixed, part.values, rhs)
     sky_x = sky.solve(rhs)
     sky_agree = bool(np.allclose(sky_x, banded.displacements,
                                  rtol=1e-8, atol=1e-12))

@@ -37,7 +37,7 @@ never appear in the deck, exactly the paper's division of labour.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -223,30 +223,33 @@ def assemble_stage(ctx: Context) -> Dict[str, Any]:
 
 
 @stage("constrain", requires=("mesh", "spec"),
-       provides=("constraints", "fixed_temps"),
+       provides=("constraints",),
        fingerprint=lambda ctx: stable_digest(ctx["spec"].supports,
                                              ctx["spec"].temps),
        span_attrs=lambda ctx: {"supports": len(ctx["spec"].supports),
                                "temps": len(ctx["spec"].temps)})
 def constrain_stage(ctx: Context) -> Dict[str, Any]:
-    """Resolve FIX / TEMP cards against the final mesh geometry."""
+    """Resolve FIX / TEMP cards against the final mesh geometry.
+
+    A node two cards prescribe differently (two TEMP lines through one
+    corner) is a :class:`~repro.errors.BoundaryConditionError`.
+    """
     spec: AnalyzeSpec = ctx["spec"]
     mesh: Mesh = ctx["mesh"]
-    constraints: Optional[Constraints] = None
-    fixed_temps: Dict[int, float] = {}
     if spec.analysis == "thermal":
+        constraints = Constraints(dofs_per_node=1)
         for card in spec.temps:
-            for node in select_nodes(mesh, card.axis, card.coord):
-                fixed_temps[node] = card.value
-    else:
-        constraints = Constraints(dofs_per_node=2)
-        for card in spec.supports:
-            nodes = select_nodes(mesh, card.axis, card.coord)
-            if "u" in card.dofs:
-                constraints.fix_nodes(nodes, direction=0)
-            if "v" in card.dofs:
-                constraints.fix_nodes(nodes, direction=1)
-    return {"constraints": constraints, "fixed_temps": fixed_temps}
+            constraints.fix_nodes(select_nodes(mesh, card.axis, card.coord),
+                                  0, card.value)
+        return {"constraints": constraints}
+    constraints = Constraints(dofs_per_node=2)
+    for card in spec.supports:
+        nodes = select_nodes(mesh, card.axis, card.coord)
+        if "u" in card.dofs:
+            constraints.fix_nodes(nodes, direction=0)
+        if "v" in card.dofs:
+            constraints.fix_nodes(nodes, direction=1)
+    return {"constraints": constraints}
 
 
 @stage("loads", requires=("mesh", "spec", "materials"),
@@ -315,7 +318,7 @@ def _apply_pressure(load_case: LoadCase, mesh: Mesh, spec: AnalyzeSpec,
 
 @stage("solve",
        requires=("mesh", "system", "materials", "densities",
-                 "constraints", "fixed_temps", "load_case",
+                 "constraints", "load_case",
                  "flux_loads", "spec"),
        provides=("solution",),
        fingerprint=lambda ctx: stable_digest(ctx["spec"].modes),
@@ -332,8 +335,7 @@ def solve_stage(ctx: Context) -> Dict[str, Any]:
     system = ctx["system"]
     if spec.analysis == "thermal":
         analysis: ThermalAnalysis = system["analysis"]
-        for node, value in ctx["fixed_temps"].items():
-            analysis.fix_temperature([node], value)
+        analysis.constraints = ctx["constraints"]
         for edges, flux in ctx["flux_loads"]:
             analysis.add_constant_flux(edges, flux)
         with obs.span("fem.solve.thermal", ndof=mesh.n_nodes):

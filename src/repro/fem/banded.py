@@ -123,30 +123,29 @@ class BandedSymmetricMatrix:
     # ------------------------------------------------------------------
     # Modification for boundary conditions
     # ------------------------------------------------------------------
-    def constrain_dof(self, k: int, rhs: np.ndarray, value: float = 0.0) -> None:
-        """Impose x[k] = value by row/column elimination inside the band.
+    def constrain(self, dofs: np.ndarray, values: np.ndarray,
+                  rhs: np.ndarray) -> None:
+        """Impose x[dofs] = values by row/column elimination, in place.
 
-        Off-band couplings are impossible by construction, so elimination
-        keeps the band intact -- the trick every banded 1970 code used.
-        ``rhs`` is adjusted in place for a non-zero prescribed value.
+        One pass for every fixed dof: ``K_fc u_c`` moves to ``rhs`` by
+        one band product, the fixed rows and columns are zeroed with a
+        unit diagonal, and ``rhs[dofs] = values``.  Off-band couplings
+        are impossible by construction, so elimination keeps the band
+        intact -- the trick every banded 1970 code used.
         """
-        hb, band = self.hb, self.band
-        # Column k holds A[k+d, k]; row k appears as A[k, k-d] = band[d, k-d].
-        for d in range(1, hb + 1):
-            i = k + d
-            if i < self.n:
-                coupling = band[d, k]
-                if coupling != 0.0:
-                    rhs[i] -= coupling * value
-                    band[d, k] = 0.0
-            j = k - d
-            if j >= 0:
-                coupling = band[d, j]
-                if coupling != 0.0:
-                    rhs[j] -= coupling * value
-                    band[d, j] = 0.0
-        band[0, k] = 1.0
-        rhs[k] = value
+        band = self.band
+        dofs = np.asarray(dofs, dtype=int)
+        if np.any(values):
+            prescribed = np.zeros(self.n)
+            prescribed[dofs] = values
+            rhs -= self.matvec(prescribed)
+        # band[d, j] couples equations j and j + d: zero the fixed
+        # columns, then each diagonal's entries in the fixed rows.
+        band[:, dofs] = 0.0
+        for d in range(1, self.hb + 1):
+            band[d, dofs[dofs >= d] - d] = 0.0
+        band[0, dofs] = 1.0
+        rhs[dofs] = values
 
     # ------------------------------------------------------------------
     # Factorisation and solution

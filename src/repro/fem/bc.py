@@ -4,17 +4,53 @@ A :class:`Constraints` object collects prescribed dof values (mostly
 zero: symmetry planes, the axisymmetric axis, clamped edges).  Dofs are
 addressed as (node, direction) with direction 0 = x/r (u) and 1 = y/z
 (v/w); thermal analyses use direction 0 only.
+
+Every constrained solve reads one :class:`DofPartition`, built by
+:meth:`Constraints.partition`: the free dofs, the fixed dofs and their
+values as arrays, so each analysis solves ``K_ff u_f = f_f - K_fc u_c``
+on the same split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple, Tuple
+
+import numpy as np
 
 from repro.errors import BoundaryConditionError
 
-#: Direction codes.
-U, V = 0, 1
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+
+class DofPartition(NamedTuple):
+    """Free and fixed dofs under interleaved numbering.
+
+    ``free`` and ``fixed`` are ascending global dof indices that together
+    cover every dof; ``values[i]`` is the prescribed value of
+    ``fixed[i]``.
+    """
+
+    free: np.ndarray
+    fixed: np.ndarray
+    values: np.ndarray
+
+    def reduce(self, matrix: sp.spmatrix) -> Tuple[sp.spmatrix, np.ndarray]:
+        """``(K_ff, K_fc u_c)`` of a scipy sparse ``matrix``.
+
+        The reduced right-hand side is ``f[free] - K_fc u_c``.
+        """
+        rows = matrix[self.free]
+        return rows[:, self.free], rows[:, self.fixed] @ self.values
+
+    def expand(self, solution: np.ndarray) -> np.ndarray:
+        """The full vector: ``solution`` on the free dofs, the prescribed
+        values on the fixed ones."""
+        out = np.zeros(self.free.size + self.fixed.size)
+        out[self.free] = solution
+        out[self.fixed] = self.values
+        return out
 
 
 @dataclass
@@ -32,12 +68,13 @@ class Constraints:
                 f"{self.dofs_per_node}-dof nodes"
             )
         key = (int(node), int(direction))
+        value = float(value)
         if key in self.prescribed and self.prescribed[key] != value:
             raise BoundaryConditionError(
-                f"dof {key} prescribed twice with different values "
-                f"({self.prescribed[key]} vs {value})"
+                f"node {key[0]} direction {key[1]} prescribed twice with "
+                f"different values ({self.prescribed[key]} vs {value})"
             )
-        self.prescribed[key] = float(value)
+        self.prescribed[key] = value
         return self
 
     def fix_node(self, node: int, value: float = 0.0) -> "Constraints":
@@ -57,16 +94,23 @@ class Constraints:
             self.fix_node(n)
         return self
 
-    def global_dofs(self, n_nodes: int) -> List[Tuple[int, float]]:
-        """(global dof index, value) pairs under interleaved numbering."""
-        out: List[Tuple[int, float]] = []
-        for (node, direction), value in sorted(self.prescribed.items()):
-            if node < 0 or node >= n_nodes:
-                raise BoundaryConditionError(
-                    f"constraint on node {node} outside mesh of {n_nodes}"
-                )
-            out.append((node * self.dofs_per_node + direction, value))
-        return out
+    def partition(self, n_nodes: int) -> DofPartition:
+        """Split the ``n_nodes * dofs_per_node`` dofs into free and fixed."""
+        keys = sorted(self.prescribed)
+        pairs = np.array(keys, dtype=int).reshape(-1, 2)
+        outside = (pairs[:, 0] < 0) | (pairs[:, 0] >= n_nodes)
+        if outside.any():
+            raise BoundaryConditionError(
+                f"constraint on node {pairs[outside, 0][0]} outside mesh "
+                f"of {n_nodes}"
+            )
+        fixed = pairs[:, 0] * self.dofs_per_node + pairs[:, 1]
+        values = np.array([self.prescribed[key] for key in keys],
+                          dtype=float)
+        # A mask, not np.setdiff1d: its np.unique loads numpy.ma.
+        free = np.ones(n_nodes * self.dofs_per_node, dtype=bool)
+        free[fixed] = False
+        return DofPartition(np.flatnonzero(free), fixed, values)
 
     def __len__(self) -> int:
         return len(self.prescribed)

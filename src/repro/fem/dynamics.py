@@ -132,8 +132,7 @@ def modal_analysis(mesh: Mesh, materials: Mapping[int, Any],
     ndof = 2 * mesh.n_nodes
     k = assemble_sparse(mesh, materials, analysis_type).toarray()
     m = assemble_mass(mesh, materials, densities, lumped=lumped_mass)
-    fixed = [dof for dof, _ in constraints.global_dofs(mesh.n_nodes)]
-    free = np.setdiff1d(np.arange(ndof), np.array(fixed, dtype=int))
+    free = constraints.partition(mesh.n_nodes).free
     if free.size == 0:
         raise SolverError("every dof is constrained; nothing vibrates")
     kff = k[np.ix_(free, free)]

@@ -70,14 +70,14 @@ def compute_reactions(mesh: Mesh, materials: Dict[int, object],
     k = assemble_sparse(mesh, materials, analysis_type.value)
     f_applied = loads.vector(mesh.n_nodes)
     residual = k @ disp - f_applied
-    constrained = [dof for dof, _ in constraints.global_dofs(mesh.n_nodes)]
-    free = np.setdiff1d(np.arange(ndof), np.array(constrained, dtype=int))
+    part = constraints.partition(mesh.n_nodes)
     reactions = np.zeros(ndof)
-    reactions[constrained] = residual[constrained]
-    free_residual = float(np.abs(residual[free]).max()) if free.size else 0.0
+    reactions[part.fixed] = residual[part.fixed]
+    free_residual = (float(np.abs(residual[part.free]).max())
+                     if part.free.size else 0.0)
     return ReactionReport(
         reactions=reactions,
-        constrained_dofs=list(constrained),
+        constrained_dofs=part.fixed.tolist(),
         free_residual=free_residual,
         applied_resultant=(float(f_applied[0::2].sum()),
                            float(f_applied[1::2].sum())),

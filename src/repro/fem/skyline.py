@@ -137,26 +137,35 @@ class SkylineMatrix:
     # ------------------------------------------------------------------
     # Boundary conditions
     # ------------------------------------------------------------------
-    def constrain_dof(self, k: int, rhs: np.ndarray,
-                      value: float = 0.0) -> None:
-        """Impose x[k] = value by envelope-preserving elimination."""
-        # Column k above the diagonal.
-        top = self.tops[k]
-        for i in range(top, k):
-            coupling = self.columns[k][i - top]
-            if coupling != 0.0:
-                rhs[i] -= coupling * value
-                self.columns[k][i - top] = 0.0
-        # Row k appears inside later columns' envelopes.
-        for j in range(k + 1, self.n):
-            if self.tops[j] <= k:
-                idx = k - self.tops[j]
-                coupling = self.columns[j][idx]
-                if coupling != 0.0:
-                    rhs[j] -= coupling * value
-                    self.columns[j][idx] = 0.0
-        self.columns[k][k - top] = 1.0
-        rhs[k] = value
+    def constrain(self, dofs: np.ndarray, values: np.ndarray,
+                  rhs: np.ndarray) -> None:
+        """Impose x[dofs] = values by envelope-preserving elimination.
+
+        One sweep over the columns that hold a fixed dof or a coupling
+        to one: ``K_fc u_c`` moves to ``rhs``, those couplings are
+        zeroed, a fixed column keeps only a unit diagonal, and
+        ``rhs[dofs] = values``; in place.
+        """
+        dofs = np.asarray(dofs, dtype=int)
+        tops = np.asarray(self.tops)
+        fixed = np.zeros(self.n, dtype=bool)
+        fixed[dofs] = True
+        prescribed = np.zeros(self.n)
+        prescribed[dofs] = values
+        count = np.concatenate(([0], np.cumsum(fixed)))
+        touched = fixed | (count[:-1] > count[tops])
+        for j in np.flatnonzero(touched).tolist():
+            top = self.tops[j]
+            col = self.columns[j]
+            if fixed[j]:
+                rhs[top:j] -= col[: j - top] * prescribed[j]
+                col[:] = 0.0
+                col[j - top] = 1.0
+            else:
+                hit = np.flatnonzero(fixed[top:j])
+                rhs[j] -= float(np.dot(col[hit], prescribed[top + hit]))
+                col[hit] = 0.0
+        rhs[dofs] = values
 
     # ------------------------------------------------------------------
     # Factorisation and solution

@@ -12,9 +12,11 @@ materials per element group, constrain, load, solve, recover stresses.
 Three solvers are available: the era-authentic banded Cholesky (default,
 sensitive to the node numbering exactly as the paper describes), the
 envelope (skyline) Cholesky, and a scipy sparse factorisation used for
-ablation and cross-checking.  :func:`assemble_static` and
-:func:`solve_static` are the one static path: :class:`StaticAnalysis`
-and the analyze pipeline's assemble / solve stages both call them.
+ablation and cross-checking.  All three read the one
+:class:`~repro.fem.bc.DofPartition` of the constraints.
+:func:`assemble_static` and :func:`solve_static` are the one static
+path: :class:`StaticAnalysis` and the analyze pipeline's assemble /
+solve stages both call them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro import obs
 from repro.errors import SolverError
 from repro.fem.assembly import assemble_banded, assemble_sparse
 from repro.fem.banded import BandedSymmetricMatrix
-from repro.fem.bc import Constraints
+from repro.fem.bc import Constraints, DofPartition
 from repro.fem.loads import LoadCase
 # AnalysisType lives in the scipy-free materials module so that the
 # structure library can name it without loading scipy; callers that
@@ -124,14 +126,14 @@ def solve_static(matrix: StaticMatrix, rhs: np.ndarray,
             "the model has no displacement constraints; the stiffness "
             "matrix is singular (rigid-body motion)"
         )
+    part = constraints.partition(n_nodes)
     if not isinstance(matrix, (BandedSymmetricMatrix, SkylineMatrix)):
         with obs.span("fem.solve.sparse", ndof=matrix.shape[0]):
-            return _solve_sparse(matrix, rhs, constraints, n_nodes)
+            return _solve_sparse(matrix, rhs, part)
     solver = ("banded" if isinstance(matrix, BandedSymmetricMatrix)
               else "skyline")
     with obs.span(f"fem.solve.{solver}", ndof=matrix.n):
-        for dof, value in constraints.global_dofs(n_nodes):
-            matrix.constrain_dof(dof, rhs, value)
+        matrix.constrain(part.fixed, part.values, rhs)
         disp = matrix.solve(rhs)
     if obs.health_enabled():
         # Residual of the constrained system the factorisation actually
@@ -144,23 +146,15 @@ def solve_static(matrix: StaticMatrix, rhs: np.ndarray,
 
 
 def _solve_sparse(k: sp.csr_matrix, rhs: np.ndarray,
-                  constraints: Constraints, n_nodes: int) -> np.ndarray:
-    """Eliminate constrained dofs and solve the reduced sparse system."""
+                  part: DofPartition) -> np.ndarray:
+    """Solve the reduced sparse system ``K_ff u_f = f_f - K_fc u_c``."""
     import scipy.sparse.linalg as spla
 
-    ndof = k.shape[0]
-    fixed = constraints.global_dofs(n_nodes)
-    fixed_idx = np.array([d for d, _ in fixed], dtype=int)
-    fixed_val = np.array([v for _, v in fixed])
-    free = np.setdiff1d(np.arange(ndof), fixed_idx)
-    if free.size == 0:
-        disp = np.zeros(ndof)
-        disp[fixed_idx] = fixed_val
-        return disp
-    kff = k[free][:, free]
-    kfc = k[free][:, fixed_idx]
+    if part.free.size == 0:
+        return part.expand(np.zeros(0))
+    kff, lift = part.reduce(k)
     obs.gauge("fem.solver_fillin", int(kff.nnz))
-    reduced_rhs = rhs[free] - kfc @ fixed_val
+    reduced_rhs = rhs[part.free] - lift
     try:
         solution = spla.spsolve(kff.tocsc(), reduced_rhs)
     except Exception as exc:  # scipy raises several flavours here
@@ -172,12 +166,9 @@ def _solve_sparse(k: sp.csr_matrix, rhs: np.ndarray,
         obs.health("fem.solve.sparse", solver_health(
             residual_rel=_relative_residual(kff @ solution, reduced_rhs),
             fillin=int(kff.nnz),
-            ndof=int(free.size),
+            ndof=int(part.free.size),
         ))
-    disp = np.zeros(ndof)
-    disp[free] = solution
-    disp[fixed_idx] = fixed_val
-    return disp
+    return part.expand(solution)
 
 
 def _relative_residual(ku: np.ndarray, f: np.ndarray) -> float:

@@ -15,14 +15,13 @@ boundary edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.errors import BoundaryConditionError, SolverError
 from repro.fem.assembly import assemble_thermal
+from repro.fem.bc import Constraints, DofPartition
 from repro.fem.elements.heat import edge_flux_vector, edge_flux_vector_axisym
 from repro.fem.mesh import Mesh
 from repro.fem.results import NodalField
@@ -52,7 +51,7 @@ class ThermalAnalysis:
     """Heat conduction on a mesh with per-group thermal materials."""
 
     def __init__(self, mesh: Mesh, materials: Dict[int, object],
-                 lumped: bool = True, axisymmetric: bool = False):
+                 lumped: bool = True, axisymmetric: bool = False) -> None:
         mesh.validate()
         self.mesh = mesh
         self.materials = materials
@@ -60,7 +59,8 @@ class ThermalAnalysis:
         self.conductivity, self.capacity = assemble_thermal(
             mesh, materials, lumped=lumped, axisymmetric=axisymmetric
         )
-        self.fixed_temps: Dict[int, float] = {}
+        #: Prescribed temperatures, one dof per node.
+        self.constraints = Constraints(dofs_per_node=1)
         self._flux_edges: List[Tuple[Tuple[int, int], ThermalPulse]] = []
         self._constant_flux: np.ndarray = np.zeros(mesh.n_nodes)
 
@@ -75,7 +75,7 @@ class ThermalAnalysis:
                 raise BoundaryConditionError(
                     f"temperature fixed on node {n} outside the mesh"
                 )
-            self.fixed_temps[n] = float(value)
+            self.constraints.fix(n, 0, value)
 
     def add_pulse(self, edges: Iterable[Tuple[int, int]],
                   pulse: ThermalPulse) -> None:
@@ -87,26 +87,24 @@ class ThermalAnalysis:
                           flux: float) -> None:
         """A steady surface flux (used by the steady-state solver)."""
         for a, b in edges:
-            pa, pb = self.mesh.node_point(a), self.mesh.node_point(b)
-            fa, fb = self._edge_flux(pa, pb, flux)
-            self._constant_flux[int(a)] += fa
-            self._constant_flux[int(b)] += fb
+            self._edge_flux(self._constant_flux, int(a), int(b), flux)
 
-    def _edge_flux(self, pa, pb, q):
+    def _edge_flux(self, f: np.ndarray, a: int, b: int, q: float) -> None:
+        """Add edge ``(a, b)``'s nodal shares of flux ``q`` into ``f``."""
+        pa, pb = self.mesh.node_point(a), self.mesh.node_point(b)
         if self.axisymmetric:
-            return edge_flux_vector_axisym(pa, pb, q)
-        return edge_flux_vector(pa, pb, q)
+            fa, fb = edge_flux_vector_axisym(pa, pb, q)
+        else:
+            fa, fb = edge_flux_vector(pa, pb, q)
+        f[a] += fa
+        f[b] += fb
 
     def _flux_vector(self, t: float) -> np.ndarray:
         f = self._constant_flux.copy()
         for (a, b), pulse in self._flux_edges:
             q = pulse.flux_at(t)
-            if q == 0.0:
-                continue
-            pa, pb = self.mesh.node_point(a), self.mesh.node_point(b)
-            fa, fb = self._edge_flux(pa, pb, q)
-            f[a] += fa
-            f[b] += fb
+            if q != 0.0:
+                self._edge_flux(f, a, b, q)
         return f
 
     # ------------------------------------------------------------------
@@ -114,43 +112,34 @@ class ThermalAnalysis:
     # ------------------------------------------------------------------
     def solve_steady(self) -> NodalField:
         """Steady state K T = F with prescribed temperatures eliminated."""
-        if not self.fixed_temps:
+        if len(self.constraints) == 0:
             raise SolverError(
                 "steady conduction needs at least one prescribed "
                 "temperature; otherwise K is singular"
             )
-        n = self.mesh.n_nodes
-        rhs = self._flux_vector(0.0)
-        t = _solve_constrained(self.conductivity, rhs, self.fixed_temps, n)
-        return NodalField("temperature", t)
+        part = self.constraints.partition(self.mesh.n_nodes)
+        solve = _free_solver(self.conductivity, part)
+        return NodalField("temperature", solve(self._flux_vector(0.0)))
 
     def solve_transient(self, dt: float, n_steps: int,
-                        initial: float = 0.0,
-                        record_times: Optional[Sequence[float]] = None
-                        ) -> "TransientHistory":
-        """Backward-Euler march; records snapshots nearest ``record_times``.
-
-        Returns the full history (all steps) unless ``record_times`` is
-        given, in which case only the nearest snapshot to each requested
-        time is kept (plus the final state).
-        """
+                        initial: float = 0.0) -> "TransientHistory":
+        """Backward-Euler march; the history keeps every step."""
         if dt <= 0.0:
             raise SolverError(f"time step must be positive, got {dt}")
         if n_steps < 1:
             raise SolverError("need at least one time step")
-        n = self.mesh.n_nodes
-        temps = np.full(n, float(initial))
-        for node, value in self.fixed_temps.items():
-            temps[node] = value
+        part = self.constraints.partition(self.mesh.n_nodes)
+        temps = np.full(self.mesh.n_nodes, float(initial))
+        temps[part.fixed] = part.values
         system = (self.capacity / dt + self.conductivity).tocsc()
-        solver = _constrained_factor(system, self.fixed_temps, n)
-        history = TransientHistory(self.mesh, record_times)
+        solve = _free_solver(system, part)
+        history = TransientHistory(self.mesh)
         history.record(0.0, temps)
         t = 0.0
         for _ in range(n_steps):
             t += dt
             rhs = (self.capacity / dt) @ temps + self._flux_vector(t)
-            temps = solver(rhs, self.fixed_temps)
+            temps = solve(rhs)
             history.record(t, temps)
         return history
 
@@ -158,11 +147,10 @@ class ThermalAnalysis:
 class TransientHistory:
     """Temperature snapshots from a transient march."""
 
-    def __init__(self, mesh: Mesh, record_times: Optional[Sequence[float]]):
+    def __init__(self, mesh: Mesh) -> None:
         self.mesh = mesh
         self.times: List[float] = []
         self.snapshots: List[np.ndarray] = []
-        self._wanted = None if record_times is None else list(record_times)
 
     def record(self, t: float, temps: np.ndarray) -> None:
         self.times.append(t)
@@ -185,57 +173,29 @@ class TransientHistory:
 
 
 # ----------------------------------------------------------------------
-# Constrained sparse solves
+# Constrained sparse solve
 # ----------------------------------------------------------------------
 
-def _split(fixed: Dict[int, float], n: int):
-    fixed_idx = np.array(sorted(fixed), dtype=int)
-    fixed_val = np.array([fixed[i] for i in sorted(fixed)])
-    free = np.setdiff1d(np.arange(n), fixed_idx)
-    return fixed_idx, fixed_val, free
-
-
-def _solve_constrained(matrix: sp.csr_matrix, rhs: np.ndarray,
-                       fixed: Dict[int, float], n: int) -> np.ndarray:
+def _free_solver(matrix: sp.spmatrix, part: DofPartition
+                 ) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor ``K_ff`` once; the step maps a full right-hand side ``f``
+    to the full field, ``K_ff^-1 (f_f - K_fc u_c)`` plus the prescribed
+    values."""
     import scipy.sparse.linalg as spla
 
-    fixed_idx, fixed_val, free = _split(fixed, n)
-    out = np.zeros(n)
-    out[fixed_idx] = fixed_val
-    if free.size == 0:
-        return out
-    mff = matrix[free][:, free]
-    mfc = matrix[free][:, fixed_idx]
-    solution = spla.spsolve(mff.tocsc(), rhs[free] - mfc @ fixed_val)
-    if np.any(~np.isfinite(solution)):
-        raise SolverError("conduction solve produced non-finite temperatures")
-    out[free] = solution
-    return out
+    kff, lift = part.reduce(matrix)
+    if part.free.size == 0:
+        return lambda rhs: part.expand(np.zeros(0))
+    try:
+        lu = spla.splu(kff.tocsc())
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"conduction solve failed: {exc}") from exc
 
-
-def _constrained_factor(matrix: sp.csc_matrix, fixed: Dict[int, float],
-                        n: int) -> Callable:
-    """Pre-factor the free-free block for repeated transient solves."""
-    import scipy.sparse.linalg as spla
-
-    fixed_idx, fixed_val, free = _split(fixed, n)
-    if free.size == 0:
-        def trivial(rhs, fixed_now):
-            out = np.zeros(n)
-            out[fixed_idx] = fixed_val
-            return out
-        return trivial
-    mff = matrix[free][:, free].tocsc()
-    mfc = matrix[free][:, fixed_idx]
-    lu = spla.splu(mff)
-
-    def solve(rhs: np.ndarray, fixed_now: Dict[int, float]) -> np.ndarray:
-        out = np.zeros(n)
-        out[fixed_idx] = fixed_val
-        solution = lu.solve(rhs[free] - mfc @ fixed_val)
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        solution = lu.solve(rhs[part.free] - lift)
         if np.any(~np.isfinite(solution)):
-            raise SolverError("transient step produced non-finite values")
-        out[free] = solution
-        return out
+            raise SolverError(
+                "conduction solve produced non-finite temperatures")
+        return part.expand(solution)
 
     return solve

@@ -5,6 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analyze.deck import (
+    AnalyzeDeck,
+    AnalyzeSpec,
+    TempCard,
+    ThermalMaterialCard,
+)
 from repro.analyze.examples import deck_text, plate_deck
 from repro.cli import _normalize_argv, main
 
@@ -56,6 +62,28 @@ class TestAnalyzeRun:
         captured = capsys.readouterr().out
         assert "63 nodes" in captured
         assert "isogram(s)" in captured
+
+    @pytest.mark.parametrize("first, second", [(100.0, 0.0), (0.0, 100.0)])
+    def test_conflicting_temp_cards_exit_cleanly(self, tmp_path, capsys,
+                                                 first, second):
+        spec = AnalyzeSpec(
+            analysis="thermal",
+            thermal_materials=(ThermalMaterialCard(
+                group=1, conductivity=45.0),),
+            temps=(TempCard(axis="y", coord=0.0, value=first),
+                   TempCard(axis="x", coord=0.0, value=second)),
+            plots=("temperature",),
+        )
+        deck = tmp_path / "conflict.analyze.deck"
+        deck.write_text(deck_text(
+            AnalyzeDeck(problem=plate_deck().problem, spec=spec)))
+        code = main(["analyze", "run", str(deck),
+                     "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: node 0 ")
+        assert f"({first} vs {second})" in err
+        assert "Traceback" not in err
 
     def test_explicit_run_subcommand_is_equivalent(self, deck_file,
                                                    tmp_path):

@@ -21,7 +21,7 @@ from repro.cards.reader import CardReader
 from repro.core.idlz.deck import IdlzProblem
 from repro.core.idlz.shaping import ShapingSegment
 from repro.core.idlz.subdivision import Subdivision
-from repro.errors import AnalyzeError, SolverError
+from repro.errors import AnalyzeError, BoundaryConditionError, SolverError
 from repro.pipeline import StageCache
 
 #: The analyze pipeline's stage order (record names carry the
@@ -181,6 +181,22 @@ class TestThermal:
         # One fixed edge plus a constant flux: the free edge departs
         # from the fixed value, so the field is not constant.
         assert max(temps) - min(temps) > 1e-6
+
+    @pytest.mark.parametrize("first, second", [(100.0, 0.0), (0.0, 100.0)])
+    def test_conflicting_temp_cards_rejected(self, first, second):
+        # Both lines hold corner node 0: whichever card comes second
+        # must not silently win.
+        spec = AnalyzeSpec(
+            analysis="thermal",
+            thermal_materials=(ThermalMaterialCard(
+                group=1, conductivity=45.0),),
+            temps=(TempCard(axis="y", coord=0.0, value=first),
+                   TempCard(axis="x", coord=0.0, value=second)),
+            plots=("temperature",),
+        )
+        with pytest.raises(BoundaryConditionError,
+                           match=rf"node 0 .*\({first} vs {second}\)"):
+            run_text(deck_text(respec(spec)))
 
     def test_pressure_card_rejected_in_thermal(self):
         bad = self.deck().replace(

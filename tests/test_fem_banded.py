@@ -194,7 +194,7 @@ class TestConstrainDof:
         a = spd_matrix(6, 2, seed=9)
         rhs = np.ones(6)
         m = BandedSymmetricMatrix.from_dense(a)
-        m.constrain_dof(2, rhs, value=0.5)
+        m.constrain(np.array([2]), np.array([0.5]), rhs)
         x = m.solve(rhs)
         assert x[2] == pytest.approx(0.5)
 
@@ -202,7 +202,7 @@ class TestConstrainDof:
         a = spd_matrix(6, 2, seed=4)
         rhs = np.arange(6.0)
         m = BandedSymmetricMatrix.from_dense(a)
-        m.constrain_dof(0, rhs, value=2.0)
+        m.constrain(np.array([0]), np.array([2.0]), rhs)
         x = m.solve(rhs)
         # Reference: eliminate dof 0 from the dense system.
         free = np.arange(1, 6)
@@ -212,11 +212,31 @@ class TestConstrainDof:
         )
         assert np.allclose(x[1:], x_ref)
 
+    def test_several_dofs_in_one_pass(self):
+        a = spd_matrix(9, 3, seed=6)
+        rhs = np.arange(9.0)
+        fixed = np.array([0, 4, 5, 8])
+        values = np.array([1.0, -0.5, 0.0, 2.0])
+        m = BandedSymmetricMatrix.from_dense(a)
+        m.constrain(fixed, values, rhs)
+        x = m.solve(rhs)
+        free = np.setdiff1d(np.arange(9), fixed)
+        x_ref = np.linalg.solve(
+            a[np.ix_(free, free)],
+            np.arange(9.0)[free] - a[np.ix_(free, fixed)] @ values,
+        )
+        np.testing.assert_allclose(x[free], x_ref, rtol=1e-12)
+        np.testing.assert_array_equal(x[fixed], values)
+        dense = m.to_dense()
+        np.testing.assert_array_equal(dense[np.ix_(fixed, fixed)],
+                                      np.eye(4))
+        assert not dense[np.ix_(free, fixed)].any()
+
     def test_band_preserved_after_constraint(self):
         a = spd_matrix(6, 2, seed=5)
         rhs = np.zeros(6)
         m = BandedSymmetricMatrix.from_dense(a)
-        m.constrain_dof(3, rhs)
+        m.constrain(np.array([3]), np.array([0.0]), rhs)
         dense = m.to_dense()
         assert dense[3, 3] == 1.0
         assert np.count_nonzero(dense[3, :]) == 1

@@ -47,12 +47,16 @@ class TestConstraints:
         c = Constraints()
         c.fix(2, 1, 0.5)
         c.fix(0, 0)
-        assert c.global_dofs(5) == [(0, 0.0), (5, 0.5)]
+        part = c.partition(5)
+        np.testing.assert_array_equal(part.fixed, [0, 5])
+        np.testing.assert_array_equal(part.values, [0.0, 0.5])
+        np.testing.assert_array_equal(part.free,
+                                      [1, 2, 3, 4, 6, 7, 8, 9])
 
     def test_global_dofs_out_of_mesh_rejected(self):
         c = Constraints().fix(9, 0)
         with pytest.raises(BoundaryConditionError, match="outside"):
-            c.global_dofs(5)
+            c.partition(5)
 
     def test_fix_nodes_and_pin_nodes(self):
         c = Constraints()

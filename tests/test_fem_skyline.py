@@ -87,7 +87,7 @@ class TestSolve:
         a = spd(6, 2, seed=9)
         rhs = np.ones(6)
         m = SkylineMatrix.from_dense(a)
-        m.constrain_dof(2, rhs, value=0.75)
+        m.constrain(np.array([2]), np.array([0.75]), rhs)
         x = m.solve(rhs)
         assert x[2] == pytest.approx(0.75)
         # Cross-check against dense elimination.
@@ -97,6 +97,27 @@ class TestSolve:
             np.ones(6)[free] - a[np.ix_(free, [2])].ravel() * 0.75,
         )
         assert np.allclose(x[free], x_ref)
+
+    def test_several_dofs_in_one_pass(self):
+        a = spd(9, 3, seed=6)
+        a[1, 4] = a[4, 1] = 0.0  # ragged envelope
+        rhs = np.arange(9.0)
+        fixed = np.array([0, 4, 5, 8])
+        values = np.array([1.0, -0.5, 0.0, 2.0])
+        m = SkylineMatrix.from_dense(a)
+        m.constrain(fixed, values, rhs)
+        x = m.solve(rhs)
+        free = np.setdiff1d(np.arange(9), fixed)
+        x_ref = np.linalg.solve(
+            a[np.ix_(free, free)],
+            np.arange(9.0)[free] - a[np.ix_(free, fixed)] @ values,
+        )
+        np.testing.assert_allclose(x[free], x_ref, rtol=1e-12)
+        np.testing.assert_array_equal(x[fixed], values)
+        dense = m.to_dense()
+        np.testing.assert_array_equal(dense[np.ix_(fixed, fixed)],
+                                      np.eye(4))
+        assert not dense[np.ix_(free, fixed)].any()
 
 
 class TestAssembly:
@@ -112,9 +133,8 @@ class TestAssembly:
         matrix = assemble_skyline(unit_square_mesh, {0: mat},
                                   "plane_stress")
         rhs = analysis.loads.vector(unit_square_mesh.n_nodes)
-        for dof, value in analysis.constraints.global_dofs(
-                unit_square_mesh.n_nodes):
-            matrix.constrain_dof(dof, rhs, value)
+        part = analysis.constraints.partition(unit_square_mesh.n_nodes)
+        matrix.constrain(part.fixed, part.values, rhs)
         x = matrix.solve(rhs)
         assert np.allclose(x, reference.displacements, atol=1e-12)
 

@@ -8,10 +8,12 @@ import pytest
 
 from repro.core.idlz.elements import create_elements
 from repro.core.idlz.grid import LatticeGrid
+from repro.core.idlz import reform as reform_module
 from repro.core.idlz.reform import quality_report, reform_elements
 from repro.core.idlz.subdivision import Subdivision
 from repro.errors import MeshError
 from repro.fem.mesh import Mesh
+from tests.scalar_reference import scalar_reform_pass
 
 
 def quad_mesh(d: float, bad_diagonal: bool = True) -> Mesh:
@@ -87,6 +89,51 @@ class TestSwap:
         mesh = quad_mesh(0.5)
         reform_elements(mesh)
         assert reform_elements(mesh) == 0
+
+
+def needle_fan() -> Mesh:
+    """A needle triangle whose two long edges both want swapping.
+
+    Triangle 0 = (a, b, c) is a thin spike; its neighbours across the
+    long edges ``a-c`` and ``b-c`` both sit inside its circumcircle, so
+    both edges pass the swap test on the pass-start mesh.  Swapping
+    either one consumes triangle 0, so the pass may apply only the
+    first in encounter order and must skip the other.
+    """
+    nodes = np.array([
+        [0.0, 0.0],     # 0 a
+        [0.1, 0.0],     # 1 b
+        [0.05, 1.0],    # 2 c, the needle tip
+        [-0.3, 0.5],    # 3 e, across a-c
+        [0.45, 0.55],   # 4 f, across b-c
+    ])
+    elements = np.array([[0, 1, 2], [0, 2, 3], [1, 4, 2]])
+    return Mesh(nodes=nodes, elements=elements)
+
+
+class TestReplayOrder:
+    def test_shared_triangle_candidates_skip_the_second(self):
+        mesh = needle_fan()
+        candidates = reform_module._pass_candidates(mesh)
+        assert candidates is not None
+        a, b = candidates[0].tolist(), candidates[1].tolist()
+        assert sorted(zip(a, b)) == [(0, 2), (1, 2)]
+        swaps = reform_module._reform_pass(mesh)
+        assert swaps == 1 < len(a)
+
+    def test_replay_matches_the_sequential_sweep(self):
+        mesh, reference = needle_fan(), needle_fan()
+        assert (reform_module._reform_pass(mesh)
+                == scalar_reform_pass(reference) == 1)
+        np.testing.assert_array_equal(mesh.elements, reference.elements)
+        # The needle listed from its tip meets a-c before b-c and so
+        # swaps a-c instead: a different mesh, so the encounter order
+        # decides the result above.
+        other = needle_fan()
+        other.elements[0] = [2, 0, 1]
+        assert reform_module._reform_pass(other) == 1
+        assert (sorted(map(tuple, np.sort(other.elements, 1).tolist()))
+                != sorted(map(tuple, np.sort(mesh.elements, 1).tolist())))
 
 
 class TestOnRealMeshes:

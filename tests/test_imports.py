@@ -182,6 +182,14 @@ def test_static_analyze_never_loads_scipy(tmp_path):
     assert result == {"codes": [0, 0], "scipy": False}
 
 
+def test_static_analyze_skips_masked_arrays(tmp_path):
+    """Imposing the constraints needs no ``numpy.ma`` (numpy 2's
+    ``np.unique``, behind ``np.setdiff1d``, loads it: ~1 MB of RSS)."""
+    argv = ["analyze", "run", str(DECKS / "analyze" / "plate.analyze.deck"),
+            "-o", str(tmp_path / "ana")]
+    assert _loaded_by(argv, ["numpy.ma."]) == {"code": 0, "loaded": []}
+
+
 def test_analyze_loads_scipy(tmp_path):
     """``SOLVER SPARSE`` is a scipy path: the twin deck still loads it."""
     from repro.analyze.deck import read_analyze_deck, write_analyze_deck
